@@ -53,7 +53,10 @@ impl L1Cache {
             sets,
             ways: cfg.ways,
             set_mask: sets as u64 - 1,
-            tags: vec![u64::MAX; sets * cfg.ways],
+            // Tags are only read where the way's state is valid, so
+            // their initial value is free: zero lets the allocation stay
+            // untouched until a line is inserted.
+            tags: vec![0; sets * cfg.ways],
             states: vec![LineState::Invalid; sets * cfg.ways],
             stamps: vec![0; sets * cfg.ways],
             tick: 0,
@@ -266,6 +269,22 @@ mod tests {
         c.insert(2, LineState::Shared); // set 0
         c.insert(3, LineState::Shared); // set 1
         assert_eq!(c.resident_lines(), 4, "no eviction across sets");
+    }
+
+    #[test]
+    fn zeroed_tags_never_fake_a_hit_on_line_zero() {
+        // A fresh cache's tags are all zero, the tag of line 0: only the
+        // way states may decide residency.
+        let mut c = small_cache();
+        assert_eq!(c.lookup(0), None);
+        assert_eq!(c.probe(0), None);
+        assert_eq!(c.invalidate(0), None);
+        assert!(!c.downgrade_to_shared(0));
+        assert_eq!(c.resident_lines(), 0);
+        assert!(c.resident_line_list().is_empty());
+        assert_eq!(c.insert(0, LineState::Modified), None);
+        assert_eq!(c.lookup(0), Some(LineState::Modified));
+        assert_eq!(c.resident_line_list(), vec![(0, LineState::Modified)]);
     }
 
     #[test]

@@ -36,13 +36,22 @@ pub struct Llc {
     sets: usize,
     ways: usize,
     set_mask: u64,
-    /// Per-slot entry; `line == u64::MAX` marks an empty way.
+    /// Per-slot entry; `line == u64::MAX` marks an empty way. No slot
+    /// exists until the first insert, so a cache that is never used
+    /// costs no memory.
     entries: Vec<DirEntry>,
     stamps: Vec<u64>,
     tick: u64,
 }
 
 const EMPTY: u64 = u64::MAX;
+
+const EMPTY_ENTRY: DirEntry = DirEntry {
+    line: EMPTY,
+    sharers: 0,
+    owner: None,
+    dirty: false,
+};
 
 impl Llc {
     /// Number of sets.
@@ -59,21 +68,12 @@ impl Llc {
     pub fn new(cfg: &CacheConfig) -> Self {
         cfg.validate();
         let sets = cfg.sets();
-        let slots = sets * cfg.ways;
         Self {
             sets,
             ways: cfg.ways,
             set_mask: sets as u64 - 1,
-            entries: vec![
-                DirEntry {
-                    line: EMPTY,
-                    sharers: 0,
-                    owner: None,
-                    dirty: false,
-                };
-                slots
-            ],
-            stamps: vec![0; slots],
+            entries: Vec::new(),
+            stamps: Vec::new(),
             tick: 0,
         }
     }
@@ -84,10 +84,11 @@ impl Llc {
     }
 
     fn find(&self, line: u64) -> Option<usize> {
-        let set = self.set_of(line);
-        (0..self.ways)
-            .map(|w| set * self.ways + w)
-            .find(|&s| self.entries[s].line == line)
+        let base = self.set_of(line) * self.ways;
+        // Before the first insert there are no slots, and the bounds
+        // check every lookup already pays answers "not resident".
+        let set = self.entries.get(base..base + self.ways)?;
+        set.iter().position(|e| e.line == line).map(|w| base + w)
     }
 
     /// Looks up a line, updating LRU. Returns a mutable handle to its
@@ -110,6 +111,11 @@ impl Llc {
     pub fn insert(&mut self, entry: DirEntry) -> Option<LlcVictim> {
         debug_assert_ne!(entry.line, EMPTY);
         debug_assert!(self.find(entry.line).is_none(), "line already resident");
+        if self.entries.is_empty() {
+            let slots = self.sets * self.ways;
+            self.entries = vec![EMPTY_ENTRY; slots];
+            self.stamps = vec![0; slots];
+        }
         let set = self.set_of(entry.line);
         let mut victim_slot = set * self.ways;
         let mut victim_stamp = u64::MAX;
@@ -216,5 +222,34 @@ mod tests {
         assert!(llc.remove(4).is_some());
         assert!(llc.probe(4).is_none());
         assert_eq!(llc.resident_lines(), 0);
+    }
+
+    #[test]
+    fn an_unused_llc_allocates_no_slots() {
+        // Idle servers build an LLC they never touch: lookups, probes and
+        // removals must answer "not resident" without allocating.
+        let mut llc = tiny();
+        for line in [0, 1, 3, u64::MAX - 1] {
+            assert!(llc.lookup_mut(line).is_none());
+            assert!(llc.probe(line).is_none());
+            assert!(llc.remove(line).is_none());
+        }
+        assert_eq!(llc.resident_lines(), 0);
+        assert_eq!(llc.entries.capacity() + llc.stamps.capacity(), 0);
+    }
+
+    #[test]
+    fn the_first_insert_allocates_every_set() {
+        let mut llc = tiny();
+        assert!(llc.insert(entry(1)).is_none());
+        assert_eq!(llc.entries.len(), llc.sets() * llc.ways());
+        // Both sets fill to their full associativity before anything is
+        // displaced.
+        for line in [0, 2, 3] {
+            assert!(llc.insert(entry(line)).is_none(), "line {line}");
+        }
+        assert_eq!(llc.resident_lines(), 4);
+        let victim = llc.insert(entry(4)).expect("set 0 is full");
+        assert_eq!(victim.entry.line, 0);
     }
 }

@@ -52,6 +52,30 @@ struct Thread {
     done_pending: bool,
 }
 
+impl Thread {
+    /// Marks the thread done and drops its kernel (with everything the
+    /// kernel holds, such as its task's input data) and its op buffer.
+    /// The slot itself stays, so thread ids and run-queue order never
+    /// shift.
+    fn retire(&mut self) {
+        self.state = ThreadState::Done;
+        self.kernel = Box::new(Retired);
+        self.buf = Vec::new();
+        self.cursor = 0;
+        self.done_pending = false;
+    }
+}
+
+/// The kernel a retired thread's slot keeps: zero-sized, so boxing it
+/// allocates nothing.
+struct Retired;
+
+impl Kernel for Retired {
+    fn step(&mut self, _: ThreadId, _: &mut Inbox, _: &mut Vec<Op>) -> KernelStatus {
+        KernelStatus::Done
+    }
+}
+
 impl std::fmt::Debug for Thread {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Thread")
@@ -799,7 +823,8 @@ impl Machine {
     /// run to completion.
     ///
     /// Killed threads stop retiring instructions the moment this returns:
-    /// their op buffers are dropped, every core's run queue is cleared,
+    /// their kernels and op buffers are dropped, every core's run queue
+    /// is cleared,
     /// and the barrier and lock state is reset (a killed holder cannot
     /// release, and no live thread remains to wait). Caches, memory-system
     /// state, accumulated stats and machine time are left untouched — the
@@ -810,10 +835,7 @@ impl Machine {
         let mut killed = 0;
         for th in &mut self.threads {
             if th.state != ThreadState::Done {
-                th.state = ThreadState::Done;
-                th.buf.clear();
-                th.cursor = 0;
-                th.done_pending = false;
+                th.retire();
                 killed += 1;
             }
         }
@@ -829,7 +851,7 @@ impl Machine {
 
     fn finish_thread(&mut self, t: usize) {
         debug_assert_ne!(self.threads[t].state, ThreadState::Done);
-        self.threads[t].state = ThreadState::Done;
+        self.threads[t].retire();
         self.live_threads -= 1;
         if let Some(released) = self.barrier.recheck(self.live_threads) {
             self.stats.barrier_episodes += 1;
@@ -1089,6 +1111,60 @@ mod tests {
         let r = m.run_to_completion(1_000_000, 100_000);
         assert!(r.all_done);
         assert_eq!(m.stats().loads + m.stats().stores, accesses_before + 500);
+    }
+
+    #[test]
+    fn done_threads_release_their_kernels() {
+        // A kernel's captures (a task's input data) must not outlive
+        // its thread, whether it finishes or is cancelled.
+        let data = std::sync::Arc::new(vec![0u8; 4096]);
+        let kernel = |steps: u32| {
+            let held = std::sync::Arc::clone(&data);
+            let mut left = steps;
+            FnKernel(move |_: ThreadId, _: &mut Inbox, out: &mut Vec<Op>| {
+                out.push(Op::Compute {
+                    class: OpClass::IntAlu,
+                    count: held.len() as u32,
+                });
+                left = left.saturating_sub(1);
+                if left == 0 {
+                    KernelStatus::Done
+                } else {
+                    KernelStatus::Running
+                }
+            })
+        };
+        let mut m = small_machine(2);
+        m.spawn(Box::new(kernel(3)));
+        assert_eq!(std::sync::Arc::strong_count(&data), 2);
+        assert!(m.run_to_completion(1_000_000, 100_000).all_done);
+        assert_eq!(std::sync::Arc::strong_count(&data), 1);
+        m.spawn(Box::new(kernel(u32::MAX)));
+        m.run_window(100_000);
+        assert_eq!(m.cancel_all(), 1);
+        assert_eq!(std::sync::Arc::strong_count(&data), 1);
+    }
+
+    #[test]
+    fn retired_slots_keep_thread_ids_stable() {
+        // A finished thread's slot stays (only its kernel and buffer go),
+        // so later spawns never reuse its id.
+        let mut m = small_machine(2);
+        let short = || {
+            FnKernel(|_: ThreadId, _: &mut Inbox, out: &mut Vec<Op>| {
+                out.push(Op::Compute {
+                    class: OpClass::IntAlu,
+                    count: 100,
+                });
+                KernelStatus::Done
+            })
+        };
+        assert_eq!(m.spawn(Box::new(short())), ThreadId(0));
+        assert!(m.run_to_completion(1_000_000, 1_000).all_done);
+        assert_eq!(m.spawn(Box::new(short())), ThreadId(1));
+        assert_eq!(m.live_threads(), 1);
+        assert!(m.run_to_completion(1_000_000, 1_000).all_done);
+        assert_eq!(m.stats().int_alu, 200);
     }
 
     #[test]

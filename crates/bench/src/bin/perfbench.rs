@@ -26,15 +26,12 @@
 //!   minutes of wall-clock; that cost is the figure's point).
 //! * `--check` — perf-smoke gate: exit non-zero unless the 32x32 case
 //!   shows ADI at least 8x faster than explicit at matched accuracy
-//!   (max junction deviation below 0.1 K), the threaded rack point
-//!   beats its serial run by at least 4x when the host has 8+ CPUs
-//!   (waived — with a printed note — on smaller hosts; the 1/2/8-lane
-//!   digest equality is asserted inside the measurement regardless),
-//!   both scheduler points clear the end-to-end tasks/sec floor with
-//!   zero electrical aborts and all-zero fault counters (no fault plan
-//!   is installed, so the always-on fault ports must stay perfectly
-//!   inert), the event core beats the lockstep oracle by at least
-//!   5x while reproducing its report digest byte for byte, and on the
+//!   (max junction deviation below 0.1 K), both scheduler points clear
+//!   the end-to-end tasks/sec floor with zero electrical aborts and
+//!   all-zero fault counters (no fault plan is installed, so the
+//!   always-on fault ports must stay perfectly inert), the event core
+//!   beats the lockstep oracle by at least 5x while reproducing its
+//!   report digest byte for byte, and on the
 //!   degraded heterogeneous rack the duplicate+cancel p99 beats the
 //!   retry-in-place p99 (duplication must stay a latency hedge, not a
 //!   throughput tax).
@@ -47,14 +44,6 @@ use sprint_bench::figs_perf;
 /// regression that re-couples the ADI sub-step to the cell time
 /// constant or drops the batched solve back to per-line gathers.
 const CHECK_MIN_SPEEDUP: f64 = 8.0;
-/// The `--check` gate: minimum threaded-vs-serial speedup on the 8x8
-/// rack point, enforced only when the host reports at least
-/// [`CHECK_THREADED_MIN_CPUS`] CPUs (a single-core runner cannot show
-/// wall-clock parallel speedup; correctness — digest equality across
-/// 1/2/8 lanes — is asserted inside the measurement on every host).
-const CHECK_MIN_THREADED_SPEEDUP: f64 = 4.0;
-/// CPUs required before the threaded wall-clock floor applies.
-const CHECK_THREADED_MIN_CPUS: usize = 8;
 /// The `--check` gate: matched-accuracy bar, Kelvin.
 const CHECK_MAX_DEV_K: f64 = 0.1;
 /// The `--check` gate: minimum end-to-end tasks/sec for the rack-power
@@ -103,21 +92,6 @@ fn main() {
              max dev {:.4} K (need < {CHECK_MAX_DEV_K} K)",
             case32.speedup, case32.max_dev_k
         );
-        let threaded_gated = run.threaded.cpus >= CHECK_THREADED_MIN_CPUS;
-        if threaded_gated {
-            println!(
-                "perf-smoke gate: threaded rack {:.1}x over serial on {} cpus \
-                 (need >= {CHECK_MIN_THREADED_SPEEDUP}x), 1/2/8-lane digests identical",
-                run.threaded.speedup, run.threaded.cpus,
-            );
-        } else {
-            println!(
-                "perf-smoke gate: threaded rack wall-clock floor WAIVED — host has \
-                 {} cpu(s), need {CHECK_THREADED_MIN_CPUS}+ for a parallel speedup \
-                 claim (1/2/8-lane digest equality still asserted, measured {:.2}x)",
-                run.threaded.cpus, run.threaded.speedup,
-            );
-        }
         println!(
             "perf-smoke gate: rack power {:.1} tasks/s, facility {:.1} tasks/s \
              (need >= {CHECK_MIN_TASKS_PER_S}), {} + {} electrical aborts (need 0)",
@@ -146,7 +120,6 @@ fn main() {
             run.hetero.dup_p99_ms, run.hetero.retry_p99_ms, run.hetero.cancelled_copies,
         );
         let solver_ok = case32.speedup >= CHECK_MIN_SPEEDUP && case32.max_dev_k < CHECK_MAX_DEV_K;
-        let threaded_ok = !threaded_gated || run.threaded.speedup >= CHECK_MIN_THREADED_SPEEDUP;
         let scheduler_ok = run.rack_power.tasks_per_s >= CHECK_MIN_TASKS_PER_S
             && run.facility.tasks_per_s >= CHECK_MIN_TASKS_PER_S
             && run.rack_power.supply_aborts == 0
@@ -157,7 +130,7 @@ fn main() {
             && run.facility.failed_tasks == 0;
         let event_ok = run.event_core.speedup >= CHECK_MIN_EVENT_SPEEDUP;
         let hetero_ok = run.hetero.dup_p99_ms < run.hetero.retry_p99_ms;
-        if !solver_ok || !threaded_ok || !scheduler_ok || !faults_ok || !event_ok || !hetero_ok {
+        if !solver_ok || !scheduler_ok || !faults_ok || !event_ok || !hetero_ok {
             eprintln!("perf-smoke gate FAILED");
             std::process::exit(1);
         }

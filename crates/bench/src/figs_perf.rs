@@ -146,94 +146,6 @@ fn drive_rack(g: &mut GridThermal, nodes: usize) -> f64 {
     start.elapsed().as_secs_f64() * 1e3
 }
 
-/// The threaded-solver point: the same sprint-and-rest rack cycle on a
-/// big (8x8-server, 64x64-cell) PCM-free rack, integrated serially and
-/// with the line sweeps fanned across 2 and 8 solver threads. The
-/// determinism contract is asserted inside the measurement: all three
-/// runs must land on the same state digest, or the bench aborts —
-/// wall-clock is a claim about *identical* results or it is nothing.
-#[derive(Debug, Clone)]
-pub struct ThreadedRackPerfCase {
-    /// Servers on the rack floorplan.
-    pub nodes: usize,
-    /// Grid edge.
-    pub n: usize,
-    /// Total cell count.
-    pub cells: usize,
-    /// CPUs the host reports (`available_parallelism`); the `--check`
-    /// wall-clock floor only applies when there are enough of them.
-    pub cpus: usize,
-    /// Wall-clock at 1 solver thread (the serial engine), milliseconds.
-    pub serial_ms: f64,
-    /// Wall-clock at 2 solver threads, milliseconds.
-    pub threads2_ms: f64,
-    /// Wall-clock at 8 solver threads, milliseconds.
-    pub threads8_ms: f64,
-    /// `serial_ms / min(threads2_ms, threads8_ms)` — the gated speedup.
-    pub speedup: f64,
-    /// FNV-1a digest of the final thermal state; identical across all
-    /// three lane counts by assertion.
-    pub digest: u64,
-}
-
-/// FNV-1a over every cell temperature, the boundary ledger and the
-/// junction — the bitwise identity the threaded engine promises.
-fn rack_state_digest(g: &GridThermal) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let put = |h: &mut u64, bits: u64| {
-        for b in bits.to_le_bytes() {
-            *h ^= b as u64;
-            *h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    };
-    for layer in 0..g.layer_count() {
-        for y in 0..g.params().ny {
-            for x in 0..g.params().nx {
-                put(&mut h, g.cell_temp_c(layer, x, y).to_bits());
-            }
-        }
-    }
-    put(&mut h, g.boundary_absorbed_j().to_bits());
-    put(&mut h, g.junction_temp_c().to_bits());
-    h
-}
-
-/// Measures the threaded-solver point (see [`ThreadedRackPerfCase`]).
-pub fn run_threaded_rack_case() -> ThreadedRackPerfCase {
-    let params = GridThermalParams::rack(8, 8);
-    let nodes = params.floorplan.core_count();
-    let n = params.nx;
-    let mut wall_ms = [0.0f64; 3];
-    let mut cells = 0;
-    let mut digest = 0u64;
-    for (slot, &threads) in [1usize, 2, 8].iter().enumerate() {
-        let mut g = params.clone().with_solver_threads(threads).build();
-        cells = g.cells_per_layer() * g.layer_count();
-        wall_ms[slot] = drive_rack(&mut g, nodes);
-        let d = rack_state_digest(&g);
-        if slot == 0 {
-            digest = d;
-        } else {
-            assert_eq!(
-                d, digest,
-                "threaded rack state diverged from serial at {threads} lanes"
-            );
-        }
-    }
-    let best = wall_ms[1].min(wall_ms[2]);
-    ThreadedRackPerfCase {
-        nodes,
-        n,
-        cells,
-        cpus: std::thread::available_parallelism().map_or(1, |p| p.get()),
-        serial_ms: wall_ms[0],
-        threads2_ms: wall_ms[1],
-        threads8_ms: wall_ms[2],
-        speedup: wall_ms[0] / best,
-        digest,
-    }
-}
-
 /// Measures the rack-scale point (see [`RackPerfCase`]).
 pub fn run_rack_case(measure_explicit: bool) -> RackPerfCase {
     let params = GridThermalParams::rack(4, 4);
@@ -632,11 +544,9 @@ pub fn bench_json_path(quick: bool) -> PathBuf {
 
 /// Serializes the cases to the `BENCH_grid.json` schema (hand-rolled:
 /// the vendored serde is a no-op stand-in).
-#[allow(clippy::too_many_arguments)]
 pub fn bench_json(
     cases: &[PerfCase],
     rack: Option<&RackPerfCase>,
-    threaded: Option<&ThreadedRackPerfCase>,
     rack_power: Option<&RackPowerPerfCase>,
     facility: Option<&FacilityPerfCase>,
     event_core: Option<&EventCorePerfCase>,
@@ -688,24 +598,6 @@ pub fn bench_json(
             cells = r.cells,
             adi_ms = r.adi_ms,
             adi_sub = r.adi_sub_step_s,
-        ));
-    }
-    if let Some(t) = threaded {
-        sections.push(format!(
-            "  \"threaded_rack_case\": {{\"stack\": \"rack 8x8 servers (servers/plenum, \
-             PCM-free), threaded ADI sweeps\", \"nodes\": {nodes}, \"grid\": \"{n}x{n}x2\", \
-             \"cells\": {cells}, \"cpus\": {cpus}, \"serial_ms\": {serial:.3}, \
-             \"threads2_ms\": {t2:.3}, \"threads8_ms\": {t8:.3}, \"speedup\": {speedup:.2}, \
-             \"digest\": \"{digest:016x}\"}}",
-            nodes = t.nodes,
-            n = t.n,
-            cells = t.cells,
-            cpus = t.cpus,
-            serial = t.serial_ms,
-            t2 = t.threads2_ms,
-            t8 = t.threads8_ms,
-            speedup = t.speedup,
-            digest = t.digest,
         ));
     }
     if let Some(p) = rack_power {
@@ -798,8 +690,6 @@ pub fn bench_json(
 pub struct PerfRun {
     /// The explicit-vs-ADI resolution sweep.
     pub cases: Vec<PerfCase>,
-    /// The threaded-vs-serial solver point (digest-checked).
-    pub threaded: ThreadedRackPerfCase,
     /// The power-aware rack scheduler point.
     pub rack_power: RackPowerPerfCase,
     /// The facility settlement-loop point.
@@ -899,22 +789,6 @@ pub fn fig_perf_cases(quick: bool, full: bool) -> PerfRun {
             adi = rack.adi_ms,
         )),
     }
-    // The threaded-solver point: the perf claim of the threaded line
-    // sweeps, with the determinism contract (identical digests at 1, 2
-    // and 8 lanes) asserted inside the measurement itself.
-    let threaded = run_threaded_rack_case();
-    out.push_str(&format!(
-        "threaded rack 8x8 ({nodes} servers, {n}x{n}x2, {cpus} cpu(s)): serial \
-         {serial:.1} ms, 2 threads {t2:.1} ms, 8 threads {t8:.1} ms — {speedup:.1}x, \
-         digests identical\n",
-        nodes = threaded.nodes,
-        n = threaded.n,
-        cpus = threaded.cpus,
-        serial = threaded.serial_ms,
-        t2 = threaded.threads2_ms,
-        t8 = threaded.threads8_ms,
-        speedup = threaded.speedup,
-    ));
     // The power-aware rack point: the whole scheduler loop (machines +
     // ADI thermals + shared-supply settlement + joint admission), to
     // keep the supply accounting's overhead visible in the history.
@@ -980,7 +854,6 @@ pub fn fig_perf_cases(quick: bool, full: bool) -> PerfRun {
         bench_json(
             &cases,
             Some(&rack),
-            Some(&threaded),
             Some(&rack_power),
             Some(&facility),
             Some(&event_core),
@@ -993,7 +866,6 @@ pub fn fig_perf_cases(quick: bool, full: bool) -> PerfRun {
     out.push_str(&format!("wrote {}\n", csv.finish().display()));
     PerfRun {
         cases,
-        threaded,
         rack_power,
         facility,
         event_core,
@@ -1025,7 +897,7 @@ mod tests {
     #[test]
     fn bench_json_is_wellformed_enough() {
         let cases = vec![run_case(8)];
-        let json = bench_json(&cases, None, None, None, None, None, None);
+        let json = bench_json(&cases, None, None, None, None, None);
         assert!(json.contains("\"grid\": \"8x8x3\""));
         assert!(json.contains("\"threads\": 1"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
@@ -1039,49 +911,10 @@ mod tests {
         assert_eq!(rack.n, 32);
         assert!(rack.adi_ms > 0.0);
         assert!(rack.explicit_ms.is_none(), "explicit is a --full extra");
-        let json = bench_json(&cases, Some(&rack), None, None, None, None, None);
+        let json = bench_json(&cases, Some(&rack), None, None, None, None);
         assert!(json.contains("\"rack_case\""));
         assert!(json.contains("\"grid\": \"32x32x2\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
-    fn threaded_rack_case_lands_in_the_json() {
-        // A synthetic point keeps this a serialization test; the live
-        // measurement (with its internal digest-equality assertion)
-        // runs in `perfbench`/CI.
-        let threaded = ThreadedRackPerfCase {
-            nodes: 64,
-            n: 64,
-            cells: 8192,
-            cpus: 8,
-            serial_ms: 120.0,
-            threads2_ms: 65.0,
-            threads8_ms: 22.5,
-            speedup: 120.0 / 22.5,
-            digest: 0x0012_3456_789a_bcde,
-        };
-        let cases = vec![run_case(8)];
-        let json = bench_json(&cases, None, Some(&threaded), None, None, None, None);
-        assert!(json.contains("\"threaded_rack_case\""));
-        assert!(json.contains("\"grid\": \"64x64x2\""));
-        assert!(json.contains("\"cpus\": 8"));
-        assert!(json.contains("\"threads8_ms\": 22.500"));
-        assert!(json.contains("\"digest\": \"00123456789abcde\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    /// The live threaded point's determinism contract: the measurement
-    /// itself asserts digest equality across 1/2/8 lanes, so just
-    /// running it is the test. Kept at the bench layer (in addition to
-    /// the thermal crate's bit-identity tests) because this drives the
-    /// exact rack cycle the published number comes from.
-    #[test]
-    fn threaded_rack_measurement_is_deterministic_across_lane_counts() {
-        let a = run_threaded_rack_case();
-        let b = run_threaded_rack_case();
-        assert_eq!(a.digest, b.digest, "rack cycle digest must be stable");
-        assert!(a.serial_ms > 0.0 && a.threads2_ms > 0.0 && a.threads8_ms > 0.0);
     }
 
     #[test]
@@ -1145,7 +978,6 @@ mod tests {
         let json = bench_json(
             &cases,
             Some(&rack),
-            None,
             Some(&power),
             Some(&facility),
             Some(&event_core),
@@ -1166,43 +998,23 @@ mod tests {
         assert!(json.contains("\"digest\": \"00abcdef01234567\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         // Every section also serializes independently.
-        let threaded = ThreadedRackPerfCase {
-            nodes: 64,
-            n: 64,
-            cells: 8192,
-            cpus: 1,
-            serial_ms: 100.0,
-            threads2_ms: 110.0,
-            threads8_ms: 130.0,
-            speedup: 100.0 / 110.0,
-            digest: 1,
-        };
-        for (r, t, p, f, e, h) in [
-            (None, None, Some(&power), None, None, None),
-            (None, None, None, Some(&facility), None, None),
-            (Some(&rack), None, None, Some(&facility), None, None),
-            (None, None, None, None, Some(&event_core), None),
-            (
-                Some(&rack),
-                Some(&threaded),
-                None,
-                None,
-                Some(&event_core),
-                None,
-            ),
-            (None, Some(&threaded), None, None, None, None),
-            (None, None, None, None, None, Some(&hetero)),
-            (None, None, Some(&power), None, None, Some(&hetero)),
+        for (r, p, f, e, h) in [
+            (None, Some(&power), None, None, None),
+            (None, None, Some(&facility), None, None),
+            (Some(&rack), None, Some(&facility), None, None),
+            (None, None, None, Some(&event_core), None),
+            (Some(&rack), None, None, Some(&event_core), None),
+            (None, None, None, None, Some(&hetero)),
+            (None, Some(&power), None, None, Some(&hetero)),
             (
                 None,
-                Some(&threaded),
                 Some(&power),
                 Some(&facility),
                 Some(&event_core),
                 Some(&hetero),
             ),
         ] {
-            let alone = bench_json(&cases, r, t, p, f, e, h);
+            let alone = bench_json(&cases, r, p, f, e, h);
             assert_eq!(alone.matches('{').count(), alone.matches('}').count());
             assert_eq!(alone.matches('[').count(), alone.matches(']').count());
         }

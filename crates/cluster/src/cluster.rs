@@ -771,11 +771,7 @@ impl ClusterBuilder {
                 rack_params.floorplan.scale_core(n, s.thermal_weight);
             }
         }
-        // One env var (`SPRINT_SOLVER_THREADS`) sweeps every cluster's
-        // ADI lane count; threaded sweeps are byte-identical to serial,
-        // so this is a pure wall-clock knob (and the CI determinism
-        // matrix relies on exactly that).
-        let rack = RackThermal::new(rack_params.with_env_solver_threads().build());
+        let rack = RackThermal::new(rack_params.build());
         let nodes_n = rack.nodes();
         // Weighted nameplate cuts for a heterogeneous fleet; the unit-
         // weight cut is bitwise `cap / nodes`, so a homogeneous spec

@@ -45,11 +45,9 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::Arc;
 
 use sprint_core::thermal_model::ThermalModel;
 use sprint_thermal::grid::GridThermal;
-use sprint_thermal::pool::SolverPool;
 
 /// Cross-node memo for batched follower catch-up: one node's replay of
 /// `count` repeated `from + dt + dt + ...` clock additions, keyed
@@ -224,16 +222,6 @@ impl RackThermal {
     /// Panics on a non-finite inlet or one at/above the thermal limit.
     pub fn set_inlet_c(&self, inlet_c: f64) {
         self.shared.borrow_mut().grid.set_ambient_c(inlet_c);
-    }
-
-    /// Installs a shared ADI sweep pool into the underlying grid — the
-    /// cross-rack batch seam: a facility worker shard creates one
-    /// [`SolverPool`] and installs it into every rack it owns, so one
-    /// set of parked workers services the whole shard's sweeps instead
-    /// of each rack spawning its own. Byte-identical at any lane count
-    /// (see `sprint_thermal::pool`), so sharing cannot perturb a trace.
-    pub fn share_solver_pool(&self, pool: Arc<SolverPool>) {
-        self.shared.borrow_mut().grid.install_solver_pool(pool);
     }
 }
 

@@ -11,12 +11,10 @@
 //! the worker count.
 
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::Arc;
 
 use sprint_cluster::{
     ClusterOutcome, ClusterReport, ClusterSession, ClusterTask, EventDrivenCluster,
 };
-use sprint_thermal::pool::SolverPool;
 
 use crate::facility::RackSpec;
 
@@ -171,22 +169,6 @@ pub(crate) fn worker(
             )
         })
         .collect();
-    // Cross-rack solver fusion: one sweep pool (sized for the widest
-    // rack, post-`SPRINT_SOLVER_THREADS` override) services every rack
-    // this worker owns, so a multi-threaded shard parks one set of ADI
-    // workers instead of one per rack. Byte-identical at any lane
-    // count, so the facility digest cannot see the sharing.
-    let max_lanes = racks
-        .iter()
-        .map(|(_, driver, _)| driver.session().rack().with_grid(|g| g.solver_threads()))
-        .max()
-        .unwrap_or(1);
-    if max_lanes > 1 {
-        let pool = Arc::new(SolverPool::new(max_lanes));
-        for (_, driver, _) in &racks {
-            driver.session().rack().share_solver_pool(Arc::clone(&pool));
-        }
-    }
     while let Ok(cmd) = rx.recv() {
         match cmd {
             Command::Advance { windows, inputs } => {

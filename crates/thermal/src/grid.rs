@@ -16,8 +16,8 @@
 //!
 //! # Choosing a solver
 //!
-//! Two integration schemes share the same state, power map and
-//! invariants; pick one with [`GridThermalParams::solver`]:
+//! Two integration schemes share the same state, power map, heat
+//! operator and invariants; pick one with [`GridThermalParams::solver`]:
 //!
 //! * [`GridSolver::Explicit`] (the default) — forward Euler with
 //!   automatic sub-stepping: the step size is bounded by a fraction of
@@ -56,43 +56,40 @@
 //!   rack-scale floorplans; its traces are deterministic but *not*
 //!   bit-identical to the explicit solver's.
 //!
-//! ## Batched and threaded sweeps
+//! ## The operator
 //!
-//! The ADI sweeps are hundreds of *independent* tridiagonal lines per
-//! sub-step (one per row, column and vertical cell stack), and the
-//! engine exploits that on two axes:
+//! Both schemes evaluate the full heat operator the same way: each cell
+//! *gathers* its power, the vertical inflow from the layer above, its
+//! lateral exchanges (y-in, x-in, x-out, y-out), the vertical outflow
+//! and, on the last layer, the sink to ambient. A layer plane takes
+//! three unit-stride passes of plain indexed loops: the inflows, the x
+//! exchanges row by row, and the outflows fused with the enthalpy
+//! update.
+//! Every exchange is the antisymmetric flux of one neighbour pair, so
+//! energy is conserved exactly, and the fixed term order makes the
+//! sums round identically to an edge list scattered in row-major order
+//! (the in-module tests keep that scatter as the reference).
 //!
-//! * **Batching (always on).** Lines of a sweep are solved as lanes of
-//!   one structure-of-arrays pass ([`crate::tridiag`]'s `solve_batch` /
-//!   `solve_planar`): the Thomas recurrence is a serially-dependent
-//!   chain *within* a line, but lanes are independent, so laying lines
-//!   side by side turns the latency-bound per-line chain into
-//!   unit-stride inner loops the auto-vectorizer chews whole `f64`
-//!   lanes at a time. Every lane performs the per-line arithmetic in
-//!   the per-line order, so batched sweeps are bit-identical to
-//!   line-at-a-time sweeps (pinned by the tridiag property tests and
-//!   the in-module reference-equivalence tests).
+//! ## The ADI engine
 //!
-//! * **Threading ([`GridThermalParams::solver_threads`], default 1).**
-//!   On a PCM-free grid (the rack/facility scale case) the sweep lines
-//!   and the per-cell operator evaluation fan out across a small
-//!   persistent worker pool ([`crate::pool::SolverPool`]). Determinism
-//!   rules: the line→lane assignment is a fixed pure function of the
-//!   counts, concurrent writes land in lane-disjoint cells, and the one
-//!   cross-line reduction (`boundary_absorbed_j`) is re-accumulated by
-//!   the caller in ascending cell order — so traces are **byte-identical
-//!   at 1, 2 or 8 threads** and to the serial engine
-//!   (`tests/grid_threads.rs` pins it). `solver_threads: 1` runs
-//!   today's serial code path untouched. Grids *with* PCM integrate
-//!   serially regardless (still batched): the phase-state relineariza-
-//!   tion is per-sub-step and cheap next to the sweeps it gates.
-//!   Guidance: threads only pay where a sweep has enough lines to
-//!   amortize two condvar round-trips per region — rack grids (32x32
-//!   and up) benefit; die-scale grids (16x16 and below) should stay
-//!   single-threaded. The `SPRINT_SOLVER_THREADS` env var overrides
-//!   the builder default via
-//!   [`GridThermalParams::with_env_solver_threads`] (the
-//!   cluster/facility builders and examples apply it).
+//! One serial sub-step serves every grid. Each sweep is hundreds of
+//! independent lines (rows, columns, vertical stacks) solved side by
+//! side, every lane performing the per-line Thomas arithmetic in the
+//! per-line order, so a sweep is bit-identical to solving its lines one
+//! at a time. Nothing is eliminated from scratch per sub-step: the
+//! Thomas factors are cached across sub-steps, keyed on the sub-step
+//! size (a new size refactors everything).
+//!
+//! * A PCM-free layer's rows (or columns) all solve the same system, so
+//!   one shared [`TridiagFactor`] serves the layer; on a PCM-free grid
+//!   the same holds for every vertical stack.
+//! * The rows and columns of a PCM layer, and every stack of a grid
+//!   with PCM, keep one factorization per line (`TridiagLanes`). A
+//!   line is refactored only when a cell on it changed phase branch
+//!   since the line was factored, so a sub-step in which no cell
+//!   crosses a branch boundary assembles and divides nothing.
+//!
+//! A grid without PCM therefore carries no per-line factors at all.
 //!
 //! ## Automatic explicit fallback
 //!
@@ -107,14 +104,11 @@
 //! the same invariants. Disable it to pin the ADI path itself (as the
 //! solver-equivalence tests do).
 
-use std::sync::Arc;
-
 use serde::{Deserialize, Serialize};
 
 use crate::floorplan::Floorplan;
 use crate::phone::PhoneThermalParams;
-use crate::pool::{lane_range, SolverPool};
-use crate::tridiag::{Tridiag, TridiagFactor};
+use crate::tridiag::{LineLayout, TridiagFactor, TridiagLanes};
 
 /// Integration scheme for a [`GridThermal`] backend. See the
 /// [module docs](self) for the accuracy/cost trade-off.
@@ -256,12 +250,6 @@ pub struct GridThermalParams {
     pub stability_fraction: f64,
     /// Integration scheme (see the module docs' "Choosing a solver").
     pub solver: GridSolver,
-    /// Execution lanes for the ADI sweeps on PCM-free grids: 1 (the
-    /// default) is the serial engine; `k > 1` fans sweep lines across a
-    /// persistent `k`-lane [`SolverPool`] with byte-identical results
-    /// at any lane count (see the module docs' "Batched and threaded
-    /// sweeps"). Ignored by the explicit solver and on grids with PCM.
-    pub solver_threads: usize,
     /// Let a window whose explicit sub-step count is within
     /// [`ADI_FALLBACK_COST_RATIO`]x of its ADI sub-step count integrate
     /// explicitly even under [`GridSolver::Adi`] (on by default; see
@@ -317,7 +305,6 @@ impl GridThermalParams {
             r_sink_ambient_k_per_w: 1.0,
             stability_fraction: 0.2,
             solver: GridSolver::Explicit,
-            solver_threads: 1,
             adi_explicit_fallback: true,
         }
     }
@@ -378,7 +365,6 @@ impl GridThermalParams {
             // against the exactly-integrated lumped reference.
             stability_fraction: 0.05,
             solver: GridSolver::Explicit,
-            solver_threads: 1,
             adi_explicit_fallback: true,
         }
     }
@@ -451,7 +437,6 @@ impl GridThermalParams {
             r_sink_ambient_k_per_w: r_sink,
             stability_fraction: 0.2,
             solver: GridSolver::Adi,
-            solver_threads: 1,
             adi_explicit_fallback: true,
         }
     }
@@ -475,42 +460,10 @@ impl GridThermalParams {
         self
     }
 
-    /// Sets the ADI sweep lane count (builder style); see
-    /// [`Self::solver_threads`]. Results are byte-identical at any
-    /// count, so this is purely a wall-clock knob.
-    ///
-    /// # Panics
-    ///
-    /// Panics on zero.
-    pub fn with_solver_threads(mut self, threads: usize) -> Self {
-        assert!(threads >= 1, "solver needs at least one lane");
-        self.solver_threads = threads;
-        self
-    }
-
     /// Enables or disables the automatic explicit fallback for cheap
     /// windows (builder style); see [`Self::adi_explicit_fallback`].
     pub fn with_adi_fallback(mut self, enabled: bool) -> Self {
         self.adi_explicit_fallback = enabled;
-        self
-    }
-
-    /// Applies the `SPRINT_SOLVER_THREADS` environment override to the
-    /// lane count, if set and parseable as a positive integer (builder
-    /// style). The cluster/facility builders and the examples route
-    /// through this, so one env var sweeps a whole stack's solvers —
-    /// and because threaded results are byte-identical, CI can run the
-    /// same test suite at 1/2/8 threads as a determinism pin. Not
-    /// applied inside [`Self::build`]: tests comparing explicit lane
-    /// counts must stay meaningful under the CI matrix.
-    pub fn with_env_solver_threads(mut self) -> Self {
-        if let Ok(v) = std::env::var("SPRINT_SOLVER_THREADS") {
-            if let Ok(threads) = v.trim().parse::<usize>() {
-                if threads >= 1 {
-                    self.solver_threads = threads;
-                }
-            }
-        }
         self
     }
 
@@ -561,7 +514,6 @@ impl GridThermalParams {
             self.stability_fraction > 0.0 && self.stability_fraction <= 0.5,
             "stability fraction must be in (0, 0.5]"
         );
-        assert!(self.solver_threads >= 1, "solver needs at least one lane");
         for layer in &self.layers {
             layer.validate();
             if let Some(pc) = &layer.phase_change {
@@ -611,48 +563,6 @@ const ADI_THETA: f64 = 0.55;
 /// crossover is pinned by `tests/grid_adi.rs`.
 pub const ADI_FALLBACK_COST_RATIO: f64 = 5.0;
 
-/// The sweep pool a grid integrates through when
-/// [`GridThermalParams::solver_threads`] exceeds 1 — created lazily on
-/// first use, or shared across backends via
-/// [`GridThermal::install_solver_pool`] (the facility installs one pool
-/// per worker shard so a single pool services every rack the shard
-/// owns). A runtime resource, not model state: clones share the pool,
-/// comparisons ignore it, and (de)serialization drops it (the lazy
-/// rebuild restores it on the next threaded `advance`).
-#[derive(Default, Serialize, Deserialize)]
-struct PoolHandle(#[serde(skip)] Option<Arc<SolverPool>>);
-
-impl Clone for PoolHandle {
-    fn clone(&self) -> Self {
-        PoolHandle(self.0.clone())
-    }
-}
-
-impl PartialEq for PoolHandle {
-    fn eq(&self, _other: &Self) -> bool {
-        // The pool never influences results (byte-identical at any lane
-        // count), so two grids differing only in pool wiring are equal.
-        true
-    }
-}
-
-impl std::fmt::Debug for PoolHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.0 {
-            Some(pool) => write!(f, "PoolHandle({} lanes)", pool.lanes()),
-            None => write!(f, "PoolHandle(none)"),
-        }
-    }
-}
-
-/// A conductance edge between two cells.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-struct GridEdge {
-    a: u32,
-    b: u32,
-    g_w_per_k: f64,
-}
-
 /// Per-cell phase-change bookkeeping (copied from the owning layer with
 /// per-cell totals).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -662,28 +572,115 @@ struct CellPhase {
     liquid_capacity_j_per_k: f64,
 }
 
-/// Cached ADI line factorizations for the coefficient sets that cannot
-/// change between sub-steps: every line of a PCM-free layer solves the
-/// identical tridiagonal system (only melting-plateau rows ever alter a
-/// coefficient, and only PCM layers have those), so the Thomas
-/// elimination is factored once per theta-weighted step size and
-/// replayed per line. Keyed on `wdt`; a `advance` call with a different
-/// window size rebuilds lazily (a session's window is constant, so in
-/// practice this is built once).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-struct AdiCoeffCache {
+/// What every cell of one layer shares (per-cell totals of the layer).
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+struct CellLayer {
+    /// Solid-phase sensible capacity per cell, J/K.
+    capacity_j_per_k: f64,
+    /// Phase change per cell (PCM layers only).
+    phase: Option<CellPhase>,
+}
+
+/// The cached Thomas factors of one ADI sweep (a layer's rows or
+/// columns, or the grid's vertical stacks).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+enum Sweep {
+    /// No conduction along this axis: the implicit factor is the
+    /// identity (`C w = rhs`, no exchange), so the sweep is skipped.
+    Off,
+    /// Every lane solves the same system (a PCM-free layer, or the
+    /// stacks of a PCM-free grid): one factorization, replayed per lane
+    /// in the given layout.
+    Shared(TridiagFactor, LineLayout),
+    /// Lanes differ because they cross PCM cells: one factorization per
+    /// lane, and the lanes marked dirty since they were last factored.
+    PerLane(TridiagLanes, Vec<bool>),
+}
+
+impl Sweep {
+    /// The factors for `lanes` lines of `len` cells: none without
+    /// conduction, per-lane ones when the lines cross PCM cells.
+    fn new(conducts: bool, pcm: bool, len: usize, lanes: usize, layout: LineLayout) -> Self {
+        if !conducts {
+            Sweep::Off
+        } else if pcm {
+            Sweep::PerLane(TridiagLanes::new(len, lanes, layout), vec![false; lanes])
+        } else {
+            Sweep::Shared(TridiagFactor::default(), layout)
+        }
+    }
+
+    /// Solves every lane of the sweep (`rhs` and `x` in its layout).
+    fn solve(&self, rhs: &[f64], x: &mut [f64]) {
+        match self {
+            Sweep::Off => {}
+            Sweep::Shared(f, LineLayout::Contiguous) => f.solve_batch(rhs, x),
+            Sweep::Shared(f, LineLayout::Interleaved) => {
+                f.solve_planar(rhs, x, rhs.len() / f.len())
+            }
+            Sweep::PerLane(f, _) => f.solve(rhs, x),
+        }
+    }
+
+    /// Marks per-lane factors of `lane` for refactoring.
+    fn mark(&mut self, lane: usize) {
+        if let Sweep::PerLane(_, dirty) = self {
+            dirty[lane] = true;
+        }
+    }
+
+    /// Refactors the sweep for a new sub-step size (`all`: every lane,
+    /// the shared factor included) or just its dirty lanes.
+    /// `coeffs(lane, k)` is row `k` of `lane`'s system.
+    fn refactor(
+        &mut self,
+        all: bool,
+        len: usize,
+        coeffs: impl Fn(usize, usize) -> (f64, f64, f64),
+    ) {
+        match self {
+            Sweep::Off => {}
+            Sweep::Shared(f, _) => {
+                if all {
+                    let (mut sub, mut diag, mut sup) =
+                        (vec![0.0; len], vec![0.0; len], vec![0.0; len]);
+                    for k in 0..len {
+                        (sub[k], diag[k], sup[k]) = coeffs(0, k);
+                    }
+                    *f = TridiagFactor::new(&sub, &diag, &sup);
+                }
+            }
+            Sweep::PerLane(f, dirty) => {
+                for (lane, d) in dirty.iter_mut().enumerate() {
+                    if all || *d {
+                        f.factor_lane(lane, |k| coeffs(lane, k));
+                        *d = false;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The ADI engine's factor cache (see the module docs' "The ADI
+/// engine"). Keyed on the theta-weighted sub-step `wdt`: an `advance`
+/// with a different window size refactors everything (a session's
+/// window is constant, so in practice this happens once); otherwise
+/// only lanes a phase-branch change dirtied are refactored.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct AdiFactors {
     /// The theta-weighted sub-step the factors were built for
-    /// (0 = empty cache; `wdt` is always positive in use).
+    /// (0 = never built; `wdt` is always positive in use).
     wdt: f64,
-    /// Per-layer row (x-direction) factors; `None` for PCM layers,
-    /// lateral-disabled layers and 1-cell axes.
-    rows: Vec<Option<TridiagFactor>>,
-    /// Per-layer column (y-direction) factors.
-    cols: Vec<Option<TridiagFactor>>,
-    /// The vertical-stack factor, shared by every cell column (the
-    /// per-cell conductances are uniform); `None` when any layer has
-    /// phase change, since plateau rows rewrite stack coefficients.
-    stack: Option<TridiagFactor>,
+    /// Per-layer row (x-direction) sweeps.
+    rows: Vec<Sweep>,
+    /// Per-layer column (y-direction) sweeps.
+    cols: Vec<Sweep>,
+    /// The vertical-stack sweep (it owns the ambient sink, so it always
+    /// conducts).
+    stack: Sweep,
+    /// Some lane is marked dirty.
+    dirty: bool,
 }
 
 /// The grid thermal backend. See the module docs for the model.
@@ -693,23 +690,12 @@ pub struct GridThermal {
     cells_per_layer: usize,
     /// Enthalpy per cell (J, relative to 0 C), layer-major.
     enthalpy_j: Vec<f64>,
-    /// Solid-phase sensible capacity per cell, J/K.
-    capacity_j_per_k: Vec<f64>,
-    /// Phase change per cell (PCM layers only).
-    phase: Vec<Option<CellPhase>>,
+    /// Cell properties per layer.
+    cell_layers: Vec<CellLayer>,
     /// Power injected per cell, W (die layer only).
     power_w: Vec<f64>,
-    /// Conduction edges (lateral + vertical). Both solvers evaluate the
-    /// full operator through this list: the explicit step directly, the
-    /// ADI step for its Douglas-Gunn right-hand side.
-    edges: Vec<GridEdge>,
-    /// Convection edges from last-layer cells to ambient.
-    sink: Vec<(u32, f64)>,
     /// Per-core (cell, weight) lists on the die layer.
     core_cells: Vec<Vec<(usize, f64)>>,
-    /// Indices of phase-change cells (sparse: the PCM layer only), so
-    /// the hot temperature pass can stay branch-free for the rest.
-    pcm_cells: Vec<u32>,
     /// Per-layer x-neighbour conductance, W/K (0 = lateral disabled).
     lat_gx: Vec<f64>,
     /// Per-layer y-neighbour conductance, W/K (0 = lateral disabled).
@@ -744,42 +730,21 @@ pub struct GridThermal {
     /// Peak temperature seen per core (max over its cells), Celsius.
     peak_core_temps_c: Vec<f64>,
     scratch_temps: Vec<f64>,
+    /// One layer plane of gathered operator terms, W.
     scratch_flows: Vec<f64>,
-    /// ADI scratch: per-cell effective capacity for the current
-    /// sub-step's phase-state linearization (INFINITY = melting
-    /// plateau, i.e. a fixed-temperature row).
+    /// Per-cell effective capacity of the phase branch the ADI factors
+    /// were built for: the solid capacity off PCM layers, the branch
+    /// capacity on them, 0 on the melting plateau (a fixed-temperature
+    /// row). Also the multiplier that turns a sweep's increment `w`
+    /// into the next sweep's right-hand side `C * w`.
     adi_ceff: Vec<f64>,
     /// ADI scratch: the Douglas-Gunn right-hand side carried between
     /// implicit factors (energy units, `C * w`).
     adi_rhs: Vec<f64>,
-    /// ADI scratch: one line's tridiagonal system and solution.
-    tri_sub: Vec<f64>,
-    tri_diag: Vec<f64>,
-    tri_sup: Vec<f64>,
-    tri_rhs: Vec<f64>,
-    tri_x: Vec<f64>,
-    /// ADI scratch for the batched paths: a whole plane (row/column
-    /// sweep) or the whole grid (stack sweep) of solutions from one
-    /// planar Thomas pass.
+    /// ADI scratch: a whole plane (row/column sweep) or the whole grid
+    /// (stack sweep) of increments from one batched solve.
     adi_plane: Vec<f64>,
-    /// Lane-major coefficient planes for the general (PCM) batched
-    /// sweeps: per-lane tridiagonal systems assembled side by side so
-    /// one [`Tridiag::solve_batch`] call sweeps a whole layer (or every
-    /// vertical stack) at once.
-    adi_bat_sub: Vec<f64>,
-    adi_bat_diag: Vec<f64>,
-    adi_bat_sup: Vec<f64>,
-    adi_bat_rhs: Vec<f64>,
-    /// Staging scratch for [`TridiagFactor::solve_batch`] row bundles.
-    adi_batch_scratch: Vec<f64>,
-    /// Per-last-layer-cell sink flows from a threaded region, reduced
-    /// into `boundary_absorbed_j` by the main thread in ascending cell
-    /// order (the serial accumulation order).
-    adi_sink_q: Vec<f64>,
-    tridiag: Tridiag,
-    adi_cache: AdiCoeffCache,
-    /// The sweep pool for `solver_threads > 1`; see [`PoolHandle`].
-    pool: PoolHandle,
+    adi: AdiFactors,
 }
 
 impl GridThermal {
@@ -789,27 +754,22 @@ impl GridThermal {
         let (nx, ny) = (params.nx, params.ny);
         let cells = nx * ny;
         let n = cells * params.layers.len();
-        let mut capacity = Vec::with_capacity(n);
-        let mut phase = Vec::with_capacity(n);
-        for layer in &params.layers {
-            let c_cell = layer.capacity_j_per_k / cells as f64;
-            let p_cell = layer.phase_change.map(|pc| CellPhase {
-                melt_temp_c: pc.melt_temp_c,
-                latent_heat_j: pc.latent_heat_j / cells as f64,
-                liquid_capacity_j_per_k: pc.liquid_capacity_j_per_k / cells as f64,
-            });
-            for _ in 0..cells {
-                capacity.push(c_cell);
-                phase.push(p_cell);
-            }
-        }
-        // Per-axis conductances in SoA form, the single source both
-        // operator representations are built from: the ADI sweeps use
-        // them directly, the edge list (the explicit step and the ADI
-        // right-hand side) is assembled from the same values below.
+        let cell_layers: Vec<CellLayer> = params
+            .layers
+            .iter()
+            .map(|layer| CellLayer {
+                capacity_j_per_k: layer.capacity_j_per_k / cells as f64,
+                phase: layer.phase_change.map(|pc| CellPhase {
+                    melt_temp_c: pc.melt_temp_c,
+                    latent_heat_j: pc.latent_heat_j / cells as f64,
+                    liquid_capacity_j_per_k: pc.liquid_capacity_j_per_k / cells as f64,
+                }),
+            })
+            .collect();
+        // Per-axis conductances, the single source of the operator.
         // Sheet resistance per square: an x-neighbour pair spans dx of
         // length over dy of width, so R = r_sq * dx / dy. Zero means
-        // "no such edge" (lateral disabled, or a 1-cell axis).
+        // "no such exchange" (lateral disabled, or a 1-cell axis).
         let dx = params.floorplan.die_w() / nx as f64;
         let dy = params.floorplan.die_h() / ny as f64;
         let lateral = |r_sq: f64, num: f64, den: f64, axis_cells: usize| {
@@ -833,69 +793,45 @@ impl GridThermal {
             .iter()
             .map(|l| 1.0 / (l.r_to_next_k_per_w * cells as f64))
             .collect();
-
-        let mut edges = Vec::new();
-        for li in 0..params.layers.len() {
-            let base = li * cells;
-            let (g_x, g_y) = (lat_gx[li], lat_gy[li]);
-            if g_x > 0.0 || g_y > 0.0 {
-                for y in 0..ny {
-                    for x in 0..nx {
-                        let i = (base + y * nx + x) as u32;
-                        if x + 1 < nx {
-                            edges.push(GridEdge {
-                                a: i,
-                                b: i + 1,
-                                g_w_per_k: g_x,
-                            });
-                        }
-                        if y + 1 < ny {
-                            edges.push(GridEdge {
-                                a: i,
-                                b: i + nx as u32,
-                                g_w_per_k: g_y,
-                            });
-                        }
-                    }
-                }
-            }
-            if li + 1 < params.layers.len() {
-                let g_v = g_vert[li];
-                for c in 0..cells {
-                    edges.push(GridEdge {
-                        a: (base + c) as u32,
-                        b: (base + cells + c) as u32,
-                        g_w_per_k: g_v,
-                    });
-                }
-            }
-        }
-        let sink_base = (params.layers.len() - 1) * cells;
         let g_sink = 1.0 / (params.r_sink_ambient_k_per_w * cells as f64);
-        let sink: Vec<(u32, f64)> = (0..cells)
-            .map(|c| ((sink_base + c) as u32, g_sink))
-            .collect();
 
         // Stability bound: smallest C / G_total over cells, computed once
         // (the structure is fixed; the solid capacity is the conservative
         // choice for PCM cells, whose effective capacity only grows
-        // during melt).
-        let mut g_total = vec![0.0f64; n];
-        for e in &edges {
-            g_total[e.a as usize] += e.g_w_per_k;
-            g_total[e.b as usize] += e.g_w_per_k;
-        }
-        for &(i, g) in &sink {
-            g_total[i as usize] += g;
-        }
+        // during melt). Each cell sums its conductances in the
+        // operator's term order.
+        let layer_count = params.layers.len();
         let mut min_tau = f64::INFINITY;
-        for i in 0..n {
-            let c = match &phase[i] {
-                Some(pc) => capacity[i].min(pc.liquid_capacity_j_per_k),
-                None => capacity[i],
+        for (li, cl) in cell_layers.iter().enumerate() {
+            let (gx, gy) = (lat_gx[li], lat_gy[li]);
+            let c = match &cl.phase {
+                Some(pc) => cl.capacity_j_per_k.min(pc.liquid_capacity_j_per_k),
+                None => cl.capacity_j_per_k,
             };
-            if g_total[i] > 0.0 {
-                min_tau = min_tau.min(c / g_total[i]);
+            for y in 0..ny {
+                for x in 0..nx {
+                    let mut g_total = 0.0;
+                    if li > 0 {
+                        g_total += g_vert[li - 1];
+                    }
+                    if gx > 0.0 || gy > 0.0 {
+                        for (has, g) in
+                            [(y > 0, gy), (x > 0, gx), (x + 1 < nx, gx), (y + 1 < ny, gy)]
+                        {
+                            if has {
+                                g_total += g;
+                            }
+                        }
+                    }
+                    g_total += if li + 1 < layer_count {
+                        g_vert[li]
+                    } else {
+                        g_sink
+                    };
+                    if g_total > 0.0 {
+                        min_tau = min_tau.min(c / g_total);
+                    }
+                }
             }
         }
         let sub_step_s = if min_tau.is_finite() {
@@ -913,7 +849,6 @@ impl GridThermal {
         // per-cell vertical conductance equals the layer-level ratio,
         // so the bound is independent of the grid resolution: exactly
         // the decoupling the explicit solver lacks.
-        let layer_count = params.layers.len();
         let mut min_tau_vert = f64::INFINITY;
         for (li, layer) in params.layers.iter().enumerate() {
             let g_up = if li > 0 { g_vert[li - 1] } else { 0.0 };
@@ -931,12 +866,30 @@ impl GridThermal {
         }
         let adi_sub_step_s = params.stability_fraction * min_tau_vert;
 
-        let pcm_cells: Vec<u32> = phase
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| p.is_some().then_some(i as u32))
-            .collect();
-        let line_max = nx.max(ny).max(layer_count);
+        let any_pcm = cell_layers.iter().any(|l| l.phase.is_some());
+        let adi = AdiFactors {
+            wdt: 0.0,
+            rows: params
+                .layers
+                .iter()
+                .zip(&lat_gx)
+                .map(|(l, &g)| {
+                    let pcm = l.phase_change.is_some();
+                    Sweep::new(g > 0.0, pcm, nx, ny, LineLayout::Contiguous)
+                })
+                .collect(),
+            cols: params
+                .layers
+                .iter()
+                .zip(&lat_gy)
+                .map(|(l, &g)| {
+                    let pcm = l.phase_change.is_some();
+                    Sweep::new(g > 0.0, pcm, ny, nx, LineLayout::Interleaved)
+                })
+                .collect(),
+            stack: Sweep::new(true, any_pcm, layer_count, cells, LineLayout::Interleaved),
+            dirty: false,
+        };
         let core_cells: Vec<Vec<(usize, f64)>> = (0..params.floorplan.core_count())
             .map(|c| params.floorplan.cell_weights(c, nx, ny))
             .collect();
@@ -945,13 +898,13 @@ impl GridThermal {
         let mut grid = Self {
             cells_per_layer: cells,
             enthalpy_j: vec![0.0; n],
-            capacity_j_per_k: capacity,
-            phase,
+            adi_ceff: cell_layers
+                .iter()
+                .flat_map(|l| std::iter::repeat_n(l.capacity_j_per_k, cells))
+                .collect(),
+            cell_layers,
             power_w: vec![0.0; n],
-            edges,
-            sink,
             core_cells,
-            pcm_cells,
             lat_gx,
             lat_gy,
             g_vert,
@@ -968,24 +921,10 @@ impl GridThermal {
             junction_cache_c: ambient,
             peak_core_temps_c: vec![ambient; cores],
             scratch_temps: vec![0.0; n],
-            scratch_flows: vec![0.0; n],
-            adi_ceff: vec![0.0; n],
+            scratch_flows: vec![0.0; cells],
             adi_rhs: vec![0.0; n],
-            tri_sub: vec![0.0; line_max],
-            tri_diag: vec![0.0; line_max],
-            tri_sup: vec![0.0; line_max],
-            tri_rhs: vec![0.0; line_max],
-            tri_x: vec![0.0; line_max],
             adi_plane: vec![0.0; n],
-            adi_bat_sub: vec![0.0; n],
-            adi_bat_diag: vec![0.0; n],
-            adi_bat_sup: vec![0.0; n],
-            adi_bat_rhs: vec![0.0; n],
-            adi_batch_scratch: Vec::new(),
-            adi_sink_q: vec![0.0; cells],
-            tridiag: Tridiag::with_capacity(line_max),
-            adi_cache: AdiCoeffCache::default(),
-            pool: PoolHandle::default(),
+            adi,
             params,
         };
         grid.reset_to_ambient();
@@ -1022,32 +961,6 @@ impl GridThermal {
     /// The integration scheme this backend steps with.
     pub fn solver(&self) -> GridSolver {
         self.params.solver
-    }
-
-    /// Execution lanes the ADI sweeps fan across (1 = serial engine).
-    pub fn solver_threads(&self) -> usize {
-        self.params.solver_threads
-    }
-
-    /// Installs a shared sweep pool, replacing any lazily-created one.
-    /// This is the cross-rack batch seam: a facility worker shard
-    /// creates one pool and installs it into every rack it owns, so a
-    /// single set of parked workers services every rack's sweeps in
-    /// turn instead of each rack spawning its own. The pool's lane
-    /// count may exceed this grid's `solver_threads` (it is sized for
-    /// the widest rack in the shard); results are byte-identical at any
-    /// lane count, so sharing cannot perturb a trace.
-    pub fn install_solver_pool(&mut self, pool: Arc<SolverPool>) {
-        self.pool = PoolHandle(Some(pool));
-    }
-
-    /// The pool threaded advances run through, creating it on first use
-    /// when `solver_threads > 1` and none was installed.
-    fn ensure_pool(&mut self) -> Arc<SolverPool> {
-        if self.pool.0.is_none() {
-            self.pool = PoolHandle(Some(Arc::new(SolverPool::new(self.params.solver_threads))));
-        }
-        self.pool.0.clone().expect("pool just ensured")
     }
 
     /// The scheme a window of `dt_s` seconds actually integrates with:
@@ -1177,8 +1090,14 @@ impl GridThermal {
         }
     }
 
+    /// The properties of cell `i`'s layer.
+    fn cell(&self, i: usize) -> &CellLayer {
+        &self.cell_layers[i / self.cells_per_layer]
+    }
+
     fn cell_temp(&self, i: usize) -> f64 {
-        cell_temp_of(self.enthalpy_j[i], self.capacity_j_per_k[i], &self.phase[i])
+        let cl = self.cell(i);
+        cell_temp_of(self.enthalpy_j[i], cl.capacity_j_per_k, &cl.phase)
     }
 
     /// Temperature of cell `(x, y)` in layer `layer`, Celsius.
@@ -1272,11 +1191,17 @@ impl GridThermal {
     pub fn melt_fraction(&self) -> f64 {
         let mut melted = 0.0;
         let mut total = 0.0;
-        for (i, phase) in self.phase.iter().enumerate() {
-            if let Some(pc) = phase {
-                let h0 = pc.melt_temp_c * self.capacity_j_per_k[i];
-                melted += (self.enthalpy_j[i] - h0).clamp(0.0, pc.latent_heat_j);
-                total += pc.latent_heat_j;
+        for (h, cl) in self
+            .enthalpy_j
+            .chunks_exact(self.cells_per_layer)
+            .zip(&self.cell_layers)
+        {
+            if let Some(pc) = &cl.phase {
+                let h0 = pc.melt_temp_c * cl.capacity_j_per_k;
+                for &h in h {
+                    melted += (h - h0).clamp(0.0, pc.latent_heat_j);
+                    total += pc.latent_heat_j;
+                }
             }
         }
         if total > 0.0 {
@@ -1344,7 +1269,7 @@ impl GridThermal {
     pub fn sprint_energy_budget_j(&self) -> f64 {
         let mut budget = 0.0;
         for i in 0..self.enthalpy_j.len() {
-            if i >= self.cells_per_layer && self.phase[i].is_none() {
+            if i >= self.cells_per_layer && self.cell(i).phase.is_none() {
                 continue;
             }
             budget += self.cell_sprint_budget_j(i);
@@ -1373,7 +1298,7 @@ impl GridThermal {
             let base = li * self.cells_per_layer;
             for &(cell, _) in &self.core_cells[core] {
                 let i = base + cell;
-                if li > 0 && self.phase[i].is_none() {
+                if li > 0 && self.cell(i).phase.is_none() {
                     continue;
                 }
                 budget += self.cell_sprint_budget_j(i);
@@ -1387,20 +1312,21 @@ impl GridThermal {
     fn cell_sprint_budget_j(&self, i: usize) -> f64 {
         let t_max = self.params.t_max_c;
         let t = self.cell_temp(i);
-        match &self.phase[i] {
+        let c = self.cell(i).capacity_j_per_k;
+        match &self.cell(i).phase {
             Some(pc) => {
-                let h0 = pc.melt_temp_c * self.capacity_j_per_k[i];
+                let h0 = pc.melt_temp_c * c;
                 let mut budget =
                     (pc.latent_heat_j - (self.enthalpy_j[i] - h0)).clamp(0.0, pc.latent_heat_j);
                 if t < pc.melt_temp_c {
-                    budget += (pc.melt_temp_c - t) * self.capacity_j_per_k[i];
+                    budget += (pc.melt_temp_c - t) * c;
                     budget += (t_max - pc.melt_temp_c) * pc.liquid_capacity_j_per_k;
                 } else {
                     budget += (t_max - t).max(0.0) * pc.liquid_capacity_j_per_k;
                 }
                 budget
             }
-            None => (t_max - t).max(0.0) * self.capacity_j_per_k[i],
+            None => (t_max - t).max(0.0) * c,
         }
     }
 
@@ -1420,10 +1346,14 @@ impl GridThermal {
     /// peak trackers.
     pub fn reset_to_ambient(&mut self) {
         let ambient = self.params.ambient_c;
-        for i in 0..self.enthalpy_j.len() {
+        for (h, cl) in self
+            .enthalpy_j
+            .chunks_exact_mut(self.cells_per_layer)
+            .zip(&self.cell_layers)
+        {
             // Ambient is below any melting point (validated), so the
             // solid branch applies.
-            self.enthalpy_j[i] = ambient * self.capacity_j_per_k[i];
+            h.fill(ambient * cl.capacity_j_per_k);
         }
         self.peak_hotspot_gradient_k = 0.0;
         for t in &mut self.peak_core_temps_c {
@@ -1461,89 +1391,145 @@ impl GridThermal {
             };
             let steps = (dt_s / bound).ceil().max(1.0) as u64;
             let sub = dt_s / steps as f64;
-            match solver {
-                GridSolver::Explicit => {
-                    for _ in 0..steps {
-                        self.step_once(sub);
-                        self.time_s += sub;
-                    }
+            for _ in 0..steps {
+                match solver {
+                    GridSolver::Explicit => self.step_once(sub),
+                    GridSolver::Adi => self.adi_step(sub),
                 }
-                GridSolver::Adi => {
-                    // Threading applies to the PCM-free linear engine
-                    // (the rack/facility scale case); PCM grids batch
-                    // but integrate serially.
-                    let pool = (self.params.solver_threads > 1 && self.pcm_cells.is_empty())
-                        .then(|| self.ensure_pool());
-                    match pool {
-                        Some(pool) => {
-                            for _ in 0..steps {
-                                self.adi_step_linear_threaded(sub, &pool);
-                                self.time_s += sub;
-                            }
-                        }
-                        None => {
-                            for _ in 0..steps {
-                                self.adi_step(sub);
-                                self.time_s += sub;
-                            }
-                        }
-                    }
-                }
+                self.time_s += sub;
             }
         }
         self.track_peaks();
     }
 
-    /// Refreshes `scratch_temps` from the enthalpy state: a branch-free
-    /// solid-branch pass over every cell, then the piecewise correction
-    /// for the sparse phase-change set. Bit-identical to evaluating
-    /// [`cell_temp_of`] per cell (the solid branch *is* `h / c`), but
-    /// the hot loop carries no `Option` test.
+    /// Refreshes `scratch_temps` from the enthalpy state, one layer
+    /// plane at a time. Bit-identical to evaluating [`cell_temp_of`] per
+    /// cell, but every branch is a select on plane-constant thresholds,
+    /// so the passes run without per-cell `Option` tests.
     fn fill_temps(&mut self) {
-        for ((t, h), c) in self
-            .scratch_temps
-            .iter_mut()
-            .zip(&self.enthalpy_j)
-            .zip(&self.capacity_j_per_k)
-        {
-            *t = h / c;
-        }
-        for &i in &self.pcm_cells {
-            let i = i as usize;
-            self.scratch_temps[i] =
-                cell_temp_of(self.enthalpy_j[i], self.capacity_j_per_k[i], &self.phase[i]);
+        let cells = self.cells_per_layer;
+        for (li, cl) in self.cell_layers.iter().enumerate() {
+            let t = &mut self.scratch_temps[li * cells..][..cells];
+            let h = &self.enthalpy_j[li * cells..][..cells];
+            let c = cl.capacity_j_per_k;
+            match &cl.phase {
+                None => {
+                    for k in 0..cells {
+                        t[k] = h[k] / c;
+                    }
+                }
+                Some(pc) => {
+                    let h0 = pc.melt_temp_c * c;
+                    let h1 = h0 + pc.latent_heat_j;
+                    for k in 0..cells {
+                        let h = h[k];
+                        let solid = h / c;
+                        let liquid = pc.melt_temp_c
+                            + (h - h0 - pc.latent_heat_j) / pc.liquid_capacity_j_per_k;
+                        t[k] = if h <= h0 {
+                            solid
+                        } else if h <= h1 {
+                            pc.melt_temp_c
+                        } else {
+                            liquid
+                        };
+                    }
+                }
+            }
         }
     }
 
-    /// Evaluates the full heat operator at the current `scratch_temps`
-    /// into `scratch_flows` (power + lateral + vertical + sink, W per
-    /// cell), booking the ambient sink energy of one `dt` step. Shared
-    /// by the explicit step and the ADI right-hand side.
-    fn fill_flows(&mut self, dt: f64) {
-        self.scratch_flows.copy_from_slice(&self.power_w);
-        let temps = &self.scratch_temps[..];
-        let flows = &mut self.scratch_flows[..];
-        for e in &self.edges[..] {
-            let q = (temps[e.a as usize] - temps[e.b as usize]) * e.g_w_per_k;
-            flows[e.a as usize] -= q;
-            flows[e.b as usize] += q;
-        }
+    /// Applies one `dt` step of the full heat operator evaluated at
+    /// `scratch_temps` (see the module docs' "The operator"): every
+    /// cell's enthalpy gains `F(T) dt`, the same increment becomes the
+    /// ADI right-hand side `adi_rhs` (zero on melting-plateau rows,
+    /// whose increment is pinned), and the sink's share is booked into
+    /// `boundary_absorbed_j` in ascending cell order. Shared by the
+    /// explicit step and the ADI sub-step; the explicit step never reads
+    /// `adi_rhs`, but writing it anyway keeps one code path (skipping
+    /// the write made no measurable difference on the rack grid).
+    fn kick(&mut self, dt: f64) {
+        let nx = self.params.nx;
+        let cells = self.cells_per_layer;
+        let layers = self.params.layers.len();
         let ambient = self.params.ambient_c;
-        for &(i, g) in &self.sink[..] {
-            let q = (temps[i as usize] - ambient) * g;
-            flows[i as usize] -= q;
-            self.boundary_absorbed_j += q * dt;
+        let g_sink = self.g_sink_cell;
+        let t = &self.scratch_temps[..];
+        let f = &mut self.scratch_flows[..cells];
+        for li in 0..layers {
+            let at = li * cells;
+            let tp = &t[at..][..cells];
+            let power = &self.power_w[at..][..cells];
+            // A conducting layer exchanges along both axes, even one
+            // whose conductance is zero: the edge list carried those
+            // ±0.0 terms too. Its y-inflow reaches every row but the
+            // first, its y-outflow leaves every row but the last.
+            let (gx, gy) = (self.lat_gx[li], self.lat_gy[li]);
+            let lateral = gx > 0.0 || gy > 0.0;
+            let (y_in, y_out) = if lateral {
+                (nx, cells - nx)
+            } else {
+                (cells, 0)
+            };
+            // Inflows: power, from the layer above, from the row before.
+            if li > 0 {
+                let (up, g) = (&t[at - cells..][..cells], self.g_vert[li - 1]);
+                for k in 0..y_in {
+                    f[k] = power[k] + (up[k] - tp[k]) * g;
+                }
+                for k in y_in..cells {
+                    f[k] = power[k] + (up[k] - tp[k]) * g + (tp[k - nx] - tp[k]) * gy;
+                }
+            } else {
+                f[..y_in].copy_from_slice(&power[..y_in]);
+                for k in y_in..cells {
+                    f[k] = power[k] + (tp[k - nx] - tp[k]) * gy;
+                }
+            }
+            if lateral {
+                for (fr, tr) in f.chunks_exact_mut(nx).zip(tp.chunks_exact(nx)) {
+                    exchange(fr, tr, 1, gx);
+                }
+            }
+            // Outflows (to the next row, then to the layer below or the
+            // sink), fused with the step itself.
+            let h = &mut self.enthalpy_j[at..][..cells];
+            let rhs = &mut self.adi_rhs[at..][..cells];
+            let ceff = &self.adi_ceff[at..][..cells];
+            if li + 1 < layers {
+                let (down, g) = (&t[at + cells..][..cells], self.g_vert[li]);
+                for k in 0..y_out {
+                    let e = (f[k] - (tp[k] - tp[k + nx]) * gy - (tp[k] - down[k]) * g) * dt;
+                    h[k] += e;
+                    rhs[k] = if ceff[k] == 0.0 { 0.0 } else { e };
+                }
+                for k in y_out..cells {
+                    let e = (f[k] - (tp[k] - down[k]) * g) * dt;
+                    h[k] += e;
+                    rhs[k] = if ceff[k] == 0.0 { 0.0 } else { e };
+                }
+            } else {
+                for k in 0..cells {
+                    let fk = if k < y_out {
+                        f[k] - (tp[k] - tp[k + nx]) * gy
+                    } else {
+                        f[k]
+                    };
+                    let q = (tp[k] - ambient) * g_sink;
+                    self.boundary_absorbed_j += q * dt;
+                    let e = (fk - q) * dt;
+                    h[k] += e;
+                    rhs[k] = if ceff[k] == 0.0 { 0.0 } else { e };
+                }
+            }
         }
     }
 
-    /// One explicit sub-step: per-edge transfers are antisymmetric, so
-    /// total enthalpy (cells + ambient bookkeeping) is conserved exactly.
+    /// One explicit sub-step: every exchange is antisymmetric, so total
+    /// enthalpy (cells + ambient bookkeeping) is conserved exactly.
     fn step_once(&mut self, dt: f64) {
         self.fill_temps();
-        self.fill_flows(dt);
-        for (h, f) in self.enthalpy_j.iter_mut().zip(&self.scratch_flows) {
-            *h += f * dt;
-        }
+        self.kick(dt);
     }
 
     /// One semi-implicit ADI sub-step (theta-weighted Douglas-Gunn
@@ -1565,1052 +1551,269 @@ impl GridThermal {
     /// antisymmetric edge fluxes (or booked sink flux), so conservation
     /// is exact regardless of how the linearization approximated the
     /// temperatures.
+    ///
+    /// Every lane replays cached factors with the per-line Thomas
+    /// arithmetic, and every cell receives its corrections in the order
+    /// a line-at-a-time sweep applies them, so the sub-step is
+    /// bit-identical to the uncached per-line reference sweep the test
+    /// module pins it against.
     fn adi_step(&mut self, dt: f64) {
-        if self.pcm_cells.is_empty() {
-            // No phase change anywhere: every cell's branch is the
-            // solid one forever, so the general path degenerates to a
-            // fully linear step that a batched routine reproduces
-            // bit-for-bit at a fraction of the cost.
-            self.adi_step_linear(dt);
-        } else {
-            self.adi_step_general(dt);
-        }
-    }
-
-    /// The general (phase-aware) ADI sub-step; see [`adi_step`]
-    /// (Self::adi_step) for the scheme. Sweeps run batched: PCM-free
-    /// layers replay their cached factor over the whole layer at once,
-    /// PCM layers assemble every line's (possibly plateau-modified)
-    /// system lane-major and sweep them in one general batch. Each
-    /// lane's arithmetic — and each cell's enthalpy-update and
-    /// `boundary_absorbed_j` order — matches the line-at-a-time loop
-    /// exactly, so the batch is bit-identical to
-    /// [`Self::adi_step_general_reference`] (pinned in the test module).
-    fn adi_step_general(&mut self, dt: f64) {
-        let n = self.enthalpy_j.len();
-        for i in 0..n {
-            self.adi_ceff[i] = match &self.phase[i] {
-                None => self.capacity_j_per_k[i],
-                Some(pc) => {
-                    let h0 = pc.melt_temp_c * self.capacity_j_per_k[i];
-                    if self.enthalpy_j[i] <= h0 {
-                        self.capacity_j_per_k[i]
-                    } else if self.enthalpy_j[i] <= h0 + pc.latent_heat_j {
-                        f64::INFINITY
-                    } else {
-                        pc.liquid_capacity_j_per_k
-                    }
-                }
-            };
-        }
         self.fill_temps();
-        self.fill_flows(dt);
-        for i in 0..n {
-            let e = self.scratch_flows[i] * dt;
-            self.enthalpy_j[i] += e;
-            self.adi_rhs[i] = e;
-        }
-        let wdt = ADI_THETA * dt;
-        self.ensure_adi_cache(wdt);
-        let cache = std::mem::take(&mut self.adi_cache);
-        let (nx, ny) = (self.params.nx, self.params.ny);
-        let layers = self.params.layers.len();
-        if nx > 1 {
-            for li in 0..layers {
-                let g = self.lat_gx[li];
-                if g > 0.0 {
-                    match cache.rows[li].as_ref() {
-                        Some(f) => self.adi_rows_factored(li, g, wdt, f),
-                        None => self.adi_rows_general(li, g, wdt),
-                    }
-                }
-            }
-        }
-        if ny > 1 {
-            for li in 0..layers {
-                let g = self.lat_gy[li];
-                if g > 0.0 {
-                    match cache.cols[li].as_ref() {
-                        Some(f) => self.adi_cols_factored(li, g, wdt, f),
-                        None => self.adi_cols_general(li, g, wdt),
-                    }
-                }
-            }
-        }
-        match cache.stack.as_ref() {
-            Some(f) => self.adi_stack_factored(wdt, f),
-            None => self.adi_stack_general(wdt),
-        }
-        self.adi_cache = cache;
-    }
-
-    /// The pre-batching general sub-step: one [`Self::adi_sweep_line`] /
-    /// [`Self::adi_sweep_stack`] call per line. Kept as the oracle the
-    /// batched [`Self::adi_step_general`] is pinned against bit for bit.
-    #[cfg(test)]
-    fn adi_step_general_reference(&mut self, dt: f64) {
-        let n = self.enthalpy_j.len();
-        // Freeze each cell's phase branch for this step. INFINITY marks
-        // the melting plateau (a Dirichlet, zero-increment row).
-        for i in 0..n {
-            self.adi_ceff[i] = match &self.phase[i] {
-                None => self.capacity_j_per_k[i],
-                Some(pc) => {
-                    let h0 = pc.melt_temp_c * self.capacity_j_per_k[i];
-                    if self.enthalpy_j[i] <= h0 {
-                        self.capacity_j_per_k[i]
-                    } else if self.enthalpy_j[i] <= h0 + pc.latent_heat_j {
-                        f64::INFINITY
-                    } else {
-                        pc.liquid_capacity_j_per_k
-                    }
-                }
-            };
-        }
-        // Explicit full-operator evaluation at T^n: both the first
-        // enthalpy increment and the Douglas-Gunn right-hand side
-        // (energy units; `adi_rhs` carries `C * w` between factors).
-        self.fill_temps();
-        self.fill_flows(dt);
-        for i in 0..n {
-            let e = self.scratch_flows[i] * dt;
-            self.enthalpy_j[i] += e;
-            self.adi_rhs[i] = e;
-        }
+        self.freeze_phase_branches();
+        self.kick(dt);
         // The implicit factors weight their operator by θdt; the
         // explicit evaluation above carries the matching (1-θ) share,
         // so the unfactored limit is the trapezoidal theta scheme.
         let wdt = ADI_THETA * dt;
-        self.ensure_adi_cache(wdt);
-        // Take the cache out of `self` so the sweeps can borrow its
-        // factors while mutating everything else; restored below.
-        let cache = std::mem::take(&mut self.adi_cache);
-        let (nx, ny) = (self.params.nx, self.params.ny);
+        self.refactor(wdt);
+        let nx = self.params.nx;
         let cells = self.cells_per_layer;
         let layers = self.params.layers.len();
-        if nx > 1 {
-            for li in 0..layers {
-                let g = self.lat_gx[li];
-                if g > 0.0 {
-                    let factor = cache.rows[li].as_ref();
-                    for y in 0..ny {
-                        self.adi_sweep_line(li * cells + y * nx, 1, nx, g, wdt, factor);
-                    }
+        let plane = &mut self.adi_plane[..cells];
+        for li in 0..layers {
+            let layer = li * cells..(li + 1) * cells;
+            let gdt = self.lat_gx[li] * wdt;
+            if !matches!(self.adi.rows[li], Sweep::Off) {
+                self.adi.rows[li].solve(&self.adi_rhs[layer.clone()], plane);
+                let h = &mut self.enthalpy_j[layer.clone()];
+                for (hr, wr) in h.chunks_exact_mut(nx).zip(plane.chunks_exact(nx)) {
+                    exchange(hr, wr, 1, gdt);
                 }
+                next_rhs(
+                    &mut self.adi_rhs[layer],
+                    &self.adi_ceff[li * cells..],
+                    plane,
+                );
             }
         }
-        if ny > 1 {
-            for li in 0..layers {
-                let g = self.lat_gy[li];
-                if g > 0.0 {
-                    let factor = cache.cols[li].as_ref();
-                    for x in 0..nx {
-                        self.adi_sweep_line(li * cells + x, nx, ny, g, wdt, factor);
-                    }
-                }
+        for li in 0..layers {
+            let layer = li * cells..(li + 1) * cells;
+            let gdt = self.lat_gy[li] * wdt;
+            if !matches!(self.adi.cols[li], Sweep::Off) {
+                self.adi.cols[li].solve(&self.adi_rhs[layer.clone()], plane);
+                exchange(&mut self.enthalpy_j[layer.clone()], plane, nx, gdt);
+                next_rhs(
+                    &mut self.adi_rhs[layer],
+                    &self.adi_ceff[li * cells..],
+                    plane,
+                );
             }
         }
         // The vertical factor always runs: it owns the ambient sink, so
         // even a 1x1 grid (the lumped-equivalent chain) reduces to the
         // plain unfactored theta scheme through here.
-        for c in 0..cells {
-            self.adi_sweep_stack(c, wdt, cache.stack.as_ref());
+        let plane = &mut self.adi_plane[..];
+        self.adi.stack.solve(&self.adi_rhs, plane);
+        let g_sink = self.g_sink_cell;
+        for (l, h) in self.enthalpy_j.chunks_exact_mut(cells).enumerate() {
+            let w = &plane[l * cells..][..cells];
+            if l > 0 {
+                let (up, gv) = (&plane[(l - 1) * cells..][..cells], self.g_vert[l - 1]);
+                for k in 0..cells {
+                    h[k] += (up[k] - w[k]) * gv * wdt;
+                }
+            }
+            if l + 1 < layers {
+                let (down, gv) = (&plane[(l + 1) * cells..][..cells], self.g_vert[l]);
+                for k in 0..cells {
+                    h[k] -= (w[k] - down[k]) * gv * wdt;
+                }
+            } else {
+                // The sink sees only the *increment* here; the
+                // `T^n - ambient` part was booked by the kick.
+                for k in 0..cells {
+                    let q = w[k] * g_sink * wdt;
+                    h[k] -= q;
+                    self.boundary_absorbed_j += q;
+                }
+            }
         }
-        self.adi_cache = cache;
     }
 
-    /// Rebuilds the cached line factorizations when the theta-weighted
-    /// sub-step changes (in a session it never does after the first
-    /// window, so this amortizes to a single build). Only coefficient
-    /// sets that are constant across sub-steps are cached: lines of
-    /// PCM-free layers, and the shared vertical stack when no layer
-    /// has phase change. Every cached factor reproduces the uncached
-    /// assembly bit-for-bit (same expressions, same order).
-    fn ensure_adi_cache(&mut self, wdt: f64) {
-        if self.adi_cache.wdt == wdt {
+    /// Freezes every PCM cell's phase branch for this sub-step into
+    /// `adi_ceff` (see [`branch_capacity`]) and marks the row, column
+    /// and stack lanes through every cell whose value changed. Most
+    /// sub-steps change nothing, and a plane-wide comparison finds that
+    /// out before any cell is touched.
+    fn freeze_phase_branches(&mut self) {
+        let (nx, cells) = (self.params.nx, self.cells_per_layer);
+        for (li, cl) in self.cell_layers.iter().enumerate() {
+            let Some(pc) = &cl.phase else { continue };
+            let h = &self.enthalpy_j[li * cells..][..cells];
+            let ceff = &mut self.adi_ceff[li * cells..][..cells];
+            let branch = |h: f64| branch_capacity(h, cl.capacity_j_per_k, pc);
+            let mut stale = false;
+            for k in 0..cells {
+                stale |= branch(h[k]) != ceff[k];
+            }
+            if !stale {
+                continue;
+            }
+            for cell in 0..cells {
+                let new = branch(h[cell]);
+                if new != ceff[cell] {
+                    ceff[cell] = new;
+                    self.adi.rows[li].mark(cell / nx);
+                    self.adi.cols[li].mark(cell % nx);
+                    self.adi.stack.mark(cell);
+                    self.adi.dirty = true;
+                }
+            }
+        }
+    }
+
+    /// Brings the factor cache up to date for the theta-weighted
+    /// sub-step `wdt`: everything when `wdt` changed, else only the
+    /// dirty lanes. The coefficients are the per-line assembly's
+    /// ([`lateral_coeffs`], [`stack_coeffs`]), so every cached factor
+    /// reproduces the uncached elimination bit for bit.
+    fn refactor(&mut self, wdt: f64) {
+        let all = self.adi.wdt != wdt;
+        if !all && !self.adi.dirty {
             return;
         }
-        let layers = self.params.layers.len();
-        let cells = self.cells_per_layer;
-        let (nx, ny) = (self.params.nx, self.params.ny);
-        let line_factor = |has_pcm: bool, ceff: f64, g: f64, len: usize| {
-            if has_pcm || g <= 0.0 || len <= 1 {
-                return None;
-            }
-            let gdt = g * wdt;
-            let mut sub = vec![0.0; len];
-            let mut diag = vec![0.0; len];
-            let mut sup = vec![0.0; len];
-            for (k, d) in diag.iter_mut().enumerate() {
-                let mut row = ceff;
-                if k > 0 {
-                    row += gdt;
-                    sub[k] = -gdt;
-                }
-                if k + 1 < len {
-                    row += gdt;
-                    sup[k] = -gdt;
-                }
-                *d = row;
-            }
-            Some(TridiagFactor::new(&sub, &diag, &sup))
-        };
-        let mut rows = Vec::with_capacity(layers);
-        let mut cols = Vec::with_capacity(layers);
-        for (li, layer) in self.params.layers.iter().enumerate() {
-            let has_pcm = layer.phase_change.is_some();
-            // Per-cell capacity is uniform within a layer, so any
-            // cell's value stands for the whole line.
-            let ceff = self.capacity_j_per_k[li * cells];
-            rows.push(line_factor(has_pcm, ceff, self.lat_gx[li], nx));
-            cols.push(line_factor(has_pcm, ceff, self.lat_gy[li], ny));
-        }
-        let any_pcm = self.params.layers.iter().any(|l| l.phase_change.is_some());
-        let stack = if any_pcm {
-            None
-        } else {
-            let mut sub = vec![0.0; layers];
-            let mut diag = vec![0.0; layers];
-            let mut sup = vec![0.0; layers];
-            for l in 0..layers {
-                let ceff = self.capacity_j_per_k[l * cells];
-                let g_up = if l > 0 { self.g_vert[l - 1] } else { 0.0 };
-                let g_dn = if l + 1 < layers { self.g_vert[l] } else { 0.0 };
-                let mut d = ceff + wdt * (g_up + g_dn);
-                if l + 1 == layers {
-                    d += wdt * self.g_sink_cell;
-                }
-                sub[l] = -wdt * g_up;
-                diag[l] = d;
-                sup[l] = -wdt * g_dn;
-            }
-            Some(TridiagFactor::new(&sub, &diag, &sup))
-        };
-        self.adi_cache = AdiCoeffCache {
-            wdt,
-            rows,
-            cols,
-            stack,
-        };
-    }
-
-    /// One implicit lateral factor over a line of `len` cells starting
-    /// at `base` and spaced `stride` apart, with uniform neighbour
-    /// conductance `g`: solves `(C - wdt Lx) w = rhs` for the increment
-    /// `w` (`wdt` is the theta-weighted step), applies the
-    /// antisymmetric enthalpy correction `wdt * Lx w`, and stores
-    /// `C * w` as the next factor's right-hand side.
-    ///
-    /// Layers with lateral conduction disabled never reach here; for
-    /// them the factor is the identity (`C w = rhs` and `Lx w = 0`), so
-    /// skipping the line entirely is exact, not an approximation.
-    ///
-    /// `factor` carries the line's cached elimination when the layer is
-    /// PCM-free (the coefficients cannot change between sub-steps);
-    /// with it the per-line work is just the two substitution passes.
-    ///
-    /// Only the reference sub-step drives this now; the live engine
-    /// batches whole sweeps (see [`Self::adi_step_general`]).
-    #[cfg(test)]
-    fn adi_sweep_line(
-        &mut self,
-        base: usize,
-        stride: usize,
-        len: usize,
-        g: f64,
-        wdt: f64,
-        factor: Option<&TridiagFactor>,
-    ) {
-        let gdt = g * wdt;
-        if let Some(f) = factor {
-            for k in 0..len {
-                self.tri_rhs[k] = self.adi_rhs[base + k * stride];
-            }
-            f.solve(&self.tri_rhs[..len], &mut self.tri_x[..len]);
-        } else {
-            for k in 0..len {
-                let i = base + k * stride;
-                let ceff = self.adi_ceff[i];
-                if ceff.is_finite() {
-                    let mut diag = ceff;
-                    let mut sub = 0.0;
-                    let mut sup = 0.0;
-                    if k > 0 {
-                        diag += gdt;
-                        sub = -gdt;
-                    }
-                    if k + 1 < len {
-                        diag += gdt;
-                        sup = -gdt;
-                    }
-                    self.tri_sub[k] = sub;
-                    self.tri_diag[k] = diag;
-                    self.tri_sup[k] = sup;
-                    self.tri_rhs[k] = self.adi_rhs[i];
-                } else {
-                    self.tri_sub[k] = 0.0;
-                    self.tri_diag[k] = 1.0;
-                    self.tri_sup[k] = 0.0;
-                    self.tri_rhs[k] = 0.0;
-                }
-            }
-            self.tridiag.solve(
-                &self.tri_sub[..len],
-                &self.tri_diag[..len],
-                &self.tri_sup[..len],
-                &self.tri_rhs[..len],
-                &mut self.tri_x[..len],
-            );
-        }
-        for k in 0..len - 1 {
-            let i = base + k * stride;
-            let q = (self.tri_x[k] - self.tri_x[k + 1]) * gdt;
-            self.enthalpy_j[i] -= q;
-            self.enthalpy_j[i + stride] += q;
-        }
-        for k in 0..len {
-            let i = base + k * stride;
-            let ceff = self.adi_ceff[i];
-            if ceff.is_finite() {
-                self.adi_rhs[i] = ceff * self.tri_x[k];
-            }
-            // Plateau rows keep a zero increment; their rhs is never
-            // read again this step.
-        }
-    }
-
-    /// The final implicit factor over one vertical stack (cell `c`
-    /// through every layer, interface conduction plus the ambient
-    /// sink): solves for the step's temperature increment (with the
-    /// theta-weighted step `wdt`) and applies the vertical/sink
-    /// enthalpy corrections.
-    ///
-    /// `factor` carries the cached stack elimination when no layer has
-    /// phase change — one factorization then serves every cell column,
-    /// which on a PCM-free rack grid removes the entire per-column
-    /// assembly-and-eliminate cost.
-    ///
-    /// Only the reference sub-step drives this now; the live engine
-    /// batches whole sweeps (see [`Self::adi_step_general`]).
-    #[cfg(test)]
-    fn adi_sweep_stack(&mut self, c: usize, wdt: f64, factor: Option<&TridiagFactor>) {
-        let cells = self.cells_per_layer;
-        let layers = self.params.layers.len();
-        let g_sink = self.g_sink_cell;
-        if let Some(f) = factor {
-            for l in 0..layers {
-                self.tri_rhs[l] = self.adi_rhs[l * cells + c];
-            }
-            f.solve(&self.tri_rhs[..layers], &mut self.tri_x[..layers]);
-        } else {
-            for l in 0..layers {
-                let i = l * cells + c;
-                let ceff = self.adi_ceff[i];
-                let g_up = if l > 0 { self.g_vert[l - 1] } else { 0.0 };
-                let g_dn = if l + 1 < layers { self.g_vert[l] } else { 0.0 };
-                if ceff.is_finite() {
-                    let mut diag = ceff + wdt * (g_up + g_dn);
-                    if l + 1 == layers {
-                        diag += wdt * g_sink;
-                    }
-                    self.tri_sub[l] = -wdt * g_up;
-                    self.tri_diag[l] = diag;
-                    self.tri_sup[l] = -wdt * g_dn;
-                    self.tri_rhs[l] = self.adi_rhs[i];
-                } else {
-                    self.tri_sub[l] = 0.0;
-                    self.tri_diag[l] = 1.0;
-                    self.tri_sup[l] = 0.0;
-                    self.tri_rhs[l] = 0.0;
-                }
-            }
-            self.tridiag.solve(
-                &self.tri_sub[..layers],
-                &self.tri_diag[..layers],
-                &self.tri_sup[..layers],
-                &self.tri_rhs[..layers],
-                &mut self.tri_x[..layers],
-            );
-        }
-        for l in 0..layers - 1 {
-            let i = l * cells + c;
-            let q = (self.tri_x[l] - self.tri_x[l + 1]) * self.g_vert[l] * wdt;
-            self.enthalpy_j[i] -= q;
-            self.enthalpy_j[i + cells] += q;
-        }
-        // The sink sees only the *increment* here; the `T^n - ambient`
-        // part was booked by the explicit evaluation.
-        let q_sink = self.tri_x[layers - 1] * g_sink * wdt;
-        self.enthalpy_j[(layers - 1) * cells + c] -= q_sink;
-        self.boundary_absorbed_j += q_sink;
-    }
-
-    /// [`adi_step`](Self::adi_step) specialized to a grid with no phase
-    /// change anywhere (`pcm_cells` empty). Bit-identical to the
-    /// general path on such a grid, which the equivalence rests on:
-    ///
-    /// - every `adi_ceff` entry would be the plain solid capacity, so
-    ///   the fill is skipped and `capacity_j_per_k` read directly;
-    /// - every conducting layer (and the stack) has a cached
-    ///   [`TridiagFactor`], whose solve is bit-identical to the
-    ///   uncached assembly, so only the factored branch is kept;
-    /// - row lines are contiguous, so the factor solves straight out of
-    ///   `adi_rhs` with no staging copy;
-    /// - column and stack sweeps run as *planar* solves
-    ///   ([`TridiagFactor::solve_planar`]): lines are interleaved lane
-    ///   by lane, but each lane's arithmetic — and each cell's enthalpy
-    ///   update sequence, and the cell-ascending
-    ///   `boundary_absorbed_j` accumulation — keeps the exact order of
-    ///   the line-at-a-time loop, because distinct lines touch disjoint
-    ///   cells.
-    fn adi_step_linear(&mut self, dt: f64) {
-        let n = self.enthalpy_j.len();
-        self.fill_temps();
-        self.fill_flows(dt);
-        for i in 0..n {
-            let e = self.scratch_flows[i] * dt;
-            self.enthalpy_j[i] += e;
-            self.adi_rhs[i] = e;
-        }
-        let wdt = ADI_THETA * dt;
-        self.ensure_adi_cache(wdt);
-        let cache = std::mem::take(&mut self.adi_cache);
-        let (nx, ny) = (self.params.nx, self.params.ny);
-        let layers = self.params.layers.len();
-        if nx > 1 {
-            for li in 0..layers {
-                let g = self.lat_gx[li];
-                if g > 0.0 {
-                    let factor = cache.rows[li]
-                        .as_ref()
-                        .expect("PCM-free conducting layer always has a row factor");
-                    self.adi_rows_factored(li, g, wdt, factor);
-                }
-            }
-        }
-        if ny > 1 {
-            for li in 0..layers {
-                let g = self.lat_gy[li];
-                if g > 0.0 {
-                    let factor = cache.cols[li]
-                        .as_ref()
-                        .expect("PCM-free conducting layer always has a column factor");
-                    self.adi_cols_factored(li, g, wdt, factor);
-                }
-            }
-        }
-        let stack = cache
-            .stack
-            .as_ref()
-            .expect("PCM-free grid always has a stack factor");
-        self.adi_stack_factored(wdt, stack);
-        self.adi_cache = cache;
-    }
-
-    /// Every row of layer `li` in one contiguous bundle: the cached
-    /// factor's [`TridiagFactor::solve_batch`] stages the layer's `ny`
-    /// back-to-back lines through the transposed scratch (the SIMD
-    /// layout), then the corrections and `C * w` write-back of the
-    /// per-line sweep run per row unchanged. Callable from both the
-    /// linear and the general path: on a PCM-free layer `adi_ceff`
-    /// holds exactly `capacity_j_per_k`, so reading the capacity keeps
-    /// the write-back bit-identical either way.
-    fn adi_rows_factored(&mut self, li: usize, g: f64, wdt: f64, f: &TridiagFactor) {
-        let (nx, ny) = (self.params.nx, self.params.ny);
-        let cells = self.cells_per_layer;
-        let base = li * cells;
-        let gdt = g * wdt;
-        f.solve_batch(
-            &self.adi_rhs[base..base + cells],
-            &mut self.adi_plane[..cells],
-            &mut self.adi_batch_scratch,
-        );
-        for y in 0..ny {
-            let row = y * nx;
-            for k in 0..nx - 1 {
-                let q = (self.adi_plane[row + k] - self.adi_plane[row + k + 1]) * gdt;
-                self.enthalpy_j[base + row + k] -= q;
-                self.enthalpy_j[base + row + k + 1] += q;
-            }
-            for k in 0..nx {
-                let i = base + row + k;
-                self.adi_rhs[i] = self.capacity_j_per_k[i] * self.adi_plane[row + k];
-            }
-        }
-    }
-
-    /// Every row of a PCM layer in one general batch: lane `y` of the
-    /// lane-major coefficient planes is row `y`'s system, assembled with
-    /// the per-line expressions (melting-plateau cells become Dirichlet
-    /// rows) and swept by [`Tridiag::solve_batch`]. Bit-identical per
-    /// row to the per-line assembly-and-solve.
-    fn adi_rows_general(&mut self, li: usize, g: f64, wdt: f64) {
-        let (nx, ny) = (self.params.nx, self.params.ny);
-        let cells = self.cells_per_layer;
-        let base = li * cells;
-        let gdt = g * wdt;
-        let lanes = ny;
-        for k in 0..nx {
-            for y in 0..ny {
-                let i = base + y * nx + k;
-                let idx = k * lanes + y;
-                let ceff = self.adi_ceff[i];
-                if ceff.is_finite() {
-                    let mut diag = ceff;
-                    let mut sub = 0.0;
-                    let mut sup = 0.0;
-                    if k > 0 {
-                        diag += gdt;
-                        sub = -gdt;
-                    }
-                    if k + 1 < nx {
-                        diag += gdt;
-                        sup = -gdt;
-                    }
-                    self.adi_bat_sub[idx] = sub;
-                    self.adi_bat_diag[idx] = diag;
-                    self.adi_bat_sup[idx] = sup;
-                    self.adi_bat_rhs[idx] = self.adi_rhs[i];
-                } else {
-                    self.adi_bat_sub[idx] = 0.0;
-                    self.adi_bat_diag[idx] = 1.0;
-                    self.adi_bat_sup[idx] = 0.0;
-                    self.adi_bat_rhs[idx] = 0.0;
-                }
-            }
-        }
-        self.tridiag.solve_batch(
-            &self.adi_bat_sub[..cells],
-            &self.adi_bat_diag[..cells],
-            &self.adi_bat_sup[..cells],
-            &self.adi_bat_rhs[..cells],
-            &mut self.adi_plane[..cells],
-            lanes,
-        );
-        for y in 0..ny {
-            for k in 0..nx - 1 {
-                let i = base + y * nx + k;
-                let q = (self.adi_plane[k * lanes + y] - self.adi_plane[(k + 1) * lanes + y]) * gdt;
-                self.enthalpy_j[i] -= q;
-                self.enthalpy_j[i + 1] += q;
-            }
-            for k in 0..nx {
-                let i = base + y * nx + k;
-                let ceff = self.adi_ceff[i];
-                if ceff.is_finite() {
-                    self.adi_rhs[i] = ceff * self.adi_plane[k * lanes + y];
-                }
-            }
-        }
-    }
-
-    /// Every column of a PCM layer in one general batch: lane `x` is
-    /// column `x`'s system, and the lane-major index `y * nx + x` *is*
-    /// the natural plane index, so assembly needs no transpose.
-    fn adi_cols_general(&mut self, li: usize, g: f64, wdt: f64) {
-        let (nx, ny) = (self.params.nx, self.params.ny);
-        let cells = self.cells_per_layer;
-        let base = li * cells;
-        let gdt = g * wdt;
-        for y in 0..ny {
-            for x in 0..nx {
-                let i = base + y * nx + x;
-                let idx = y * nx + x;
-                let ceff = self.adi_ceff[i];
-                if ceff.is_finite() {
-                    let mut diag = ceff;
-                    let mut sub = 0.0;
-                    let mut sup = 0.0;
-                    if y > 0 {
-                        diag += gdt;
-                        sub = -gdt;
-                    }
-                    if y + 1 < ny {
-                        diag += gdt;
-                        sup = -gdt;
-                    }
-                    self.adi_bat_sub[idx] = sub;
-                    self.adi_bat_diag[idx] = diag;
-                    self.adi_bat_sup[idx] = sup;
-                    self.adi_bat_rhs[idx] = self.adi_rhs[i];
-                } else {
-                    self.adi_bat_sub[idx] = 0.0;
-                    self.adi_bat_diag[idx] = 1.0;
-                    self.adi_bat_sup[idx] = 0.0;
-                    self.adi_bat_rhs[idx] = 0.0;
-                }
-            }
-        }
-        self.tridiag.solve_batch(
-            &self.adi_bat_sub[..cells],
-            &self.adi_bat_diag[..cells],
-            &self.adi_bat_sup[..cells],
-            &self.adi_bat_rhs[..cells],
-            &mut self.adi_plane[..cells],
-            nx,
-        );
-        for y in 0..ny - 1 {
-            let row = y * nx;
-            for x in 0..nx {
-                let q = (self.adi_plane[row + x] - self.adi_plane[row + nx + x]) * gdt;
-                self.enthalpy_j[base + row + x] -= q;
-                self.enthalpy_j[base + row + nx + x] += q;
-            }
-        }
-        for idx in 0..cells {
-            let i = base + idx;
-            let ceff = self.adi_ceff[i];
-            if ceff.is_finite() {
-                self.adi_rhs[i] = ceff * self.adi_plane[idx];
-            }
-        }
-    }
-
-    /// Every vertical stack in one general batch: lane `c` is cell
-    /// column `c`'s system (lane-major index `l * cells + c` is the
-    /// natural layer-major order), assembled with the per-stack
-    /// expressions including the last-layer sink term; the sink booking
-    /// stays cell-ascending, preserving the `boundary_absorbed_j`
-    /// accumulation order of the per-stack loop.
-    fn adi_stack_general(&mut self, wdt: f64) {
-        let cells = self.cells_per_layer;
-        let layers = self.params.layers.len();
-        let n = layers * cells;
-        let g_sink = self.g_sink_cell;
-        for l in 0..layers {
-            let g_up = if l > 0 { self.g_vert[l - 1] } else { 0.0 };
-            let g_dn = if l + 1 < layers { self.g_vert[l] } else { 0.0 };
-            for c in 0..cells {
-                let i = l * cells + c;
-                let ceff = self.adi_ceff[i];
-                if ceff.is_finite() {
-                    let mut diag = ceff + wdt * (g_up + g_dn);
-                    if l + 1 == layers {
-                        diag += wdt * g_sink;
-                    }
-                    self.adi_bat_sub[i] = -wdt * g_up;
-                    self.adi_bat_diag[i] = diag;
-                    self.adi_bat_sup[i] = -wdt * g_dn;
-                    self.adi_bat_rhs[i] = self.adi_rhs[i];
-                } else {
-                    self.adi_bat_sub[i] = 0.0;
-                    self.adi_bat_diag[i] = 1.0;
-                    self.adi_bat_sup[i] = 0.0;
-                    self.adi_bat_rhs[i] = 0.0;
-                }
-            }
-        }
-        self.tridiag.solve_batch(
-            &self.adi_bat_sub[..n],
-            &self.adi_bat_diag[..n],
-            &self.adi_bat_sup[..n],
-            &self.adi_bat_rhs[..n],
-            &mut self.adi_plane[..n],
-            cells,
-        );
-        for l in 0..layers - 1 {
-            let row = l * cells;
-            let gv = self.g_vert[l];
-            for c in 0..cells {
-                let q = (self.adi_plane[row + c] - self.adi_plane[row + cells + c]) * gv * wdt;
-                self.enthalpy_j[row + c] -= q;
-                self.enthalpy_j[row + cells + c] += q;
-            }
-        }
-        let row = (layers - 1) * cells;
-        for c in 0..cells {
-            let q_sink = self.adi_plane[row + c] * g_sink * wdt;
-            self.enthalpy_j[row + c] -= q_sink;
-            self.boundary_absorbed_j += q_sink;
-        }
-    }
-
-    /// Every column of layer `li` in one planar pass. Lane `x` of the
-    /// planar solve is column `x`'s Thomas recurrence; the correction
-    /// loops run y-outer so each cell sees its `+q`/`-q` pair in the
-    /// same order as the per-column loop.
-    fn adi_cols_factored(&mut self, li: usize, g: f64, wdt: f64, f: &TridiagFactor) {
-        let (nx, ny) = (self.params.nx, self.params.ny);
-        let cells = self.cells_per_layer;
-        let base = li * cells;
-        let gdt = g * wdt;
-        f.solve_planar(
-            &self.adi_rhs[base..base + cells],
-            &mut self.adi_plane[..cells],
-            nx,
-        );
-        for y in 0..ny - 1 {
-            let row = y * nx;
-            for x in 0..nx {
-                let q = (self.adi_plane[row + x] - self.adi_plane[row + nx + x]) * gdt;
-                self.enthalpy_j[base + row + x] -= q;
-                self.enthalpy_j[base + row + nx + x] += q;
-            }
-        }
-        for i in 0..cells {
-            self.adi_rhs[base + i] = self.capacity_j_per_k[base + i] * self.adi_plane[i];
-        }
-    }
-
-    /// Every vertical stack in one planar pass (lane `c` = cell column
-    /// `c`), then the vertical/sink corrections of
-    /// [`adi_sweep_stack`](Self::adi_sweep_stack) with the layer loop
-    /// outermost; the sink booking stays cell-ascending, so the
-    /// `boundary_absorbed_j` accumulation order is untouched.
-    fn adi_stack_factored(&mut self, wdt: f64, f: &TridiagFactor) {
-        let cells = self.cells_per_layer;
-        let layers = self.params.layers.len();
-        let n = layers * cells;
-        f.solve_planar(&self.adi_rhs[..n], &mut self.adi_plane[..n], cells);
-        for l in 0..layers - 1 {
-            let row = l * cells;
-            let gv = self.g_vert[l];
-            for c in 0..cells {
-                let q = (self.adi_plane[row + c] - self.adi_plane[row + cells + c]) * gv * wdt;
-                self.enthalpy_j[row + c] -= q;
-                self.enthalpy_j[row + cells + c] += q;
-            }
-        }
-        let g_sink = self.g_sink_cell;
-        let row = (layers - 1) * cells;
-        for c in 0..cells {
-            let q_sink = self.adi_plane[row + c] * g_sink * wdt;
-            self.enthalpy_j[row + c] -= q_sink;
-            self.boundary_absorbed_j += q_sink;
-        }
-    }
-
-    /// One linear ADI sub-step with every region fanned across the
-    /// worker pool. Bit-identical to [`Self::adi_step_linear`] at any
-    /// lane count (pinned by `tests/grid_threads.rs`), by construction:
-    ///
-    /// - every parallel region partitions its index space with
-    ///   [`lane_range`], so each lane writes a fixed, disjoint set of
-    ///   cells (rows, x-columns, or cell stacks own all the cells they
-    ///   update — sweep corrections never cross a line);
-    /// - the per-cell explicit gather replays the serial edge-scan's
-    ///   accumulation order exactly (power, vertical-in, y-in, x-in,
-    ///   x-out, y-out, vertical-out, sink — including the `±0.0`
-    ///   contributions of zero-conductance lateral edges the serial
-    ///   edge list still carries);
-    /// - Thomas recurrences replay the cached factor per line in the
-    ///   line's own order, which is the same arithmetic
-    ///   [`TridiagFactor::solve_batch`] / `solve_planar` perform lane
-    ///   by lane;
-    /// - the only cross-line reduction, `boundary_absorbed_j`, is
-    ///   staged into the per-cell `adi_sink_q` scratch and accumulated
-    ///   by the calling thread in ascending cell order — the serial
-    ///   sink loop's exact add sequence.
-    fn adi_step_linear_threaded(&mut self, dt: f64, pool: &SolverPool) {
-        let lanes = pool.lanes();
-        let n = self.enthalpy_j.len();
+        self.adi.wdt = wdt;
+        self.adi.dirty = false;
         let (nx, ny) = (self.params.nx, self.params.ny);
         let cells = self.cells_per_layer;
         let layers = self.params.layers.len();
-        let wdt = ADI_THETA * dt;
-        self.ensure_adi_cache(wdt);
-        let cache = std::mem::take(&mut self.adi_cache);
-
-        // Region 1: enthalpy -> temperature, cell-partitioned.
-        {
-            let temps = RawCells(self.scratch_temps.as_mut_ptr());
-            let h = &self.enthalpy_j[..];
-            let c = &self.capacity_j_per_k[..];
-            pool.run(&|lane| {
-                for i in lane_range(n, lane, lanes) {
-                    // Safety: lanes own disjoint index ranges.
-                    unsafe { temps.set(i, h[i] / c[i]) };
-                }
-            });
+        let ceff = &self.adi_ceff[..];
+        for li in 0..layers {
+            let c = &ceff[li * cells..];
+            let gdt = self.lat_gx[li] * wdt;
+            self.adi.rows[li].refactor(all, nx, |y, k| lateral_coeffs(c[y * nx + k], gdt, k, nx));
+            let gdt = self.lat_gy[li] * wdt;
+            self.adi.cols[li].refactor(all, ny, |x, k| lateral_coeffs(c[k * nx + x], gdt, k, ny));
         }
-
-        // Region 2: explicit full-operator gather, enthalpy kick and
-        // RHS, cell-partitioned; sink heat staged per cell.
-        {
-            let temps = &self.scratch_temps[..];
-            let power = &self.power_w[..];
-            let lat_gx = &self.lat_gx[..];
-            let lat_gy = &self.lat_gy[..];
-            let g_vert = &self.g_vert[..];
-            let g_sink = self.g_sink_cell;
-            let ambient = self.params.ambient_c;
-            let h = RawCells(self.enthalpy_j.as_mut_ptr());
-            let rhs = RawCells(self.adi_rhs.as_mut_ptr());
-            let sink_q = RawCells(self.adi_sink_q.as_mut_ptr());
-            pool.run(&|lane| {
-                for i in lane_range(n, lane, lanes) {
-                    let li = i / cells;
-                    let c = i - li * cells;
-                    let y = c / nx;
-                    let x = c - y * nx;
-                    let t = temps[i];
-                    let mut f = power[i];
-                    if li > 0 {
-                        f += (temps[i - cells] - t) * g_vert[li - 1];
-                    }
-                    let (gx, gy) = (lat_gx[li], lat_gy[li]);
-                    if gx > 0.0 || gy > 0.0 {
-                        // The serial edge list emits both axes whenever
-                        // the layer conducts laterally at all, so a
-                        // zero-g axis still contributes its +/-0.0.
-                        if y > 0 {
-                            f += (temps[i - nx] - t) * gy;
-                        }
-                        if x > 0 {
-                            f += (temps[i - 1] - t) * gx;
-                        }
-                        if x + 1 < nx {
-                            f -= (t - temps[i + 1]) * gx;
-                        }
-                        if y + 1 < ny {
-                            f -= (t - temps[i + nx]) * gy;
-                        }
-                    }
-                    if li + 1 < layers {
-                        f -= (t - temps[i + cells]) * g_vert[li];
-                    }
-                    if li + 1 == layers {
-                        let q = (t - ambient) * g_sink;
-                        f -= q;
-                        // Safety: `c` ranges over disjoint lane-owned
-                        // last-layer cells.
-                        unsafe { sink_q.set(c, q) };
-                    }
-                    let e = f * dt;
-                    // Safety: lane-owned index.
-                    unsafe {
-                        h.set(i, h.get(i) + e);
-                        rhs.set(i, e);
-                    }
-                }
-            });
-            for c in 0..cells {
-                self.boundary_absorbed_j += self.adi_sink_q[c] * dt;
-            }
-        }
-
-        // Region 3 (per conducting layer): row sweeps, row-partitioned.
-        if nx > 1 {
-            for li in 0..layers {
-                let g = self.lat_gx[li];
-                if g <= 0.0 {
-                    continue;
-                }
-                let f = cache.rows[li]
-                    .as_ref()
-                    .expect("PCM-free conducting layer always has a row factor");
-                let (fsub, fcp, fm) = f.parts();
-                let base = li * cells;
-                let gdt = g * wdt;
-                let caps = &self.capacity_j_per_k[..];
-                let h = RawCells(self.enthalpy_j.as_mut_ptr());
-                let rhs = RawCells(self.adi_rhs.as_mut_ptr());
-                let plane = RawCells(self.adi_plane.as_mut_ptr());
-                pool.run(&|lane| {
-                    // Safety: every index below lives in this lane's
-                    // rows, which no other lane touches.
-                    for yy in lane_range(ny, lane, lanes) {
-                        let row = base + yy * nx;
-                        unsafe {
-                            plane.set(row, rhs.get(row) * fm[0]);
-                            for k in 1..nx {
-                                let w =
-                                    (rhs.get(row + k) - fsub[k] * plane.get(row + k - 1)) * fm[k];
-                                plane.set(row + k, w);
-                            }
-                            for k in (0..nx - 1).rev() {
-                                plane.set(
-                                    row + k,
-                                    plane.get(row + k) - fcp[k] * plane.get(row + k + 1),
-                                );
-                            }
-                            for k in 0..nx - 1 {
-                                let q = (plane.get(row + k) - plane.get(row + k + 1)) * gdt;
-                                h.set(row + k, h.get(row + k) - q);
-                                h.set(row + k + 1, h.get(row + k + 1) + q);
-                            }
-                            for k in 0..nx {
-                                rhs.set(row + k, caps[row + k] * plane.get(row + k));
-                            }
-                        }
-                    }
-                });
-            }
-        }
-
-        // Region 4 (per conducting layer): column sweeps, partitioned
-        // by x so each lane owns whole columns.
-        if ny > 1 {
-            for li in 0..layers {
-                let g = self.lat_gy[li];
-                if g <= 0.0 {
-                    continue;
-                }
-                let f = cache.cols[li]
-                    .as_ref()
-                    .expect("PCM-free conducting layer always has a column factor");
-                let (fsub, fcp, fm) = f.parts();
-                let base = li * cells;
-                let gdt = g * wdt;
-                let caps = &self.capacity_j_per_k[..];
-                let h = RawCells(self.enthalpy_j.as_mut_ptr());
-                let rhs = RawCells(self.adi_rhs.as_mut_ptr());
-                let plane = RawCells(self.adi_plane.as_mut_ptr());
-                pool.run(&|lane| {
-                    let xr = lane_range(nx, lane, lanes);
-                    // Safety: every index below is in a lane-owned
-                    // column (fixed x); corrections stay in-column.
-                    unsafe {
-                        for x in xr.clone() {
-                            plane.set(x, rhs.get(base + x) * fm[0]);
-                        }
-                        for y in 1..ny {
-                            let row = y * nx;
-                            for x in xr.clone() {
-                                let w = (rhs.get(base + row + x)
-                                    - fsub[y] * plane.get(row - nx + x))
-                                    * fm[y];
-                                plane.set(row + x, w);
-                            }
-                        }
-                        for y in (0..ny - 1).rev() {
-                            let row = y * nx;
-                            for x in xr.clone() {
-                                plane.set(
-                                    row + x,
-                                    plane.get(row + x) - fcp[y] * plane.get(row + nx + x),
-                                );
-                            }
-                        }
-                        for y in 0..ny - 1 {
-                            let row = y * nx;
-                            for x in xr.clone() {
-                                let q = (plane.get(row + x) - plane.get(row + nx + x)) * gdt;
-                                h.set(base + row + x, h.get(base + row + x) - q);
-                                h.set(base + row + nx + x, h.get(base + row + nx + x) + q);
-                            }
-                        }
-                        for y in 0..ny {
-                            let row = y * nx;
-                            for x in xr.clone() {
-                                rhs.set(base + row + x, caps[base + row + x] * plane.get(row + x));
-                            }
-                        }
-                    }
-                });
-            }
-        }
-
-        // Region 5: stack sweep, partitioned by cell column; sink heat
-        // staged per cell and reduced in ascending order below.
-        {
-            let f = cache
-                .stack
-                .as_ref()
-                .expect("PCM-free grid always has a stack factor");
-            let (fsub, fcp, fm) = f.parts();
-            let g_sink = self.g_sink_cell;
-            let g_vert = &self.g_vert[..];
-            let h = RawCells(self.enthalpy_j.as_mut_ptr());
-            let rhs = RawCells(self.adi_rhs.as_mut_ptr());
-            let plane = RawCells(self.adi_plane.as_mut_ptr());
-            let sink_q = RawCells(self.adi_sink_q.as_mut_ptr());
-            pool.run(&|lane| {
-                let cr = lane_range(cells, lane, lanes);
-                // Safety: every index below is in a lane-owned vertical
-                // stack (fixed cell column).
-                unsafe {
-                    for c in cr.clone() {
-                        plane.set(c, rhs.get(c) * fm[0]);
-                    }
-                    for l in 1..layers {
-                        let row = l * cells;
-                        for c in cr.clone() {
-                            let w =
-                                (rhs.get(row + c) - fsub[l] * plane.get(row - cells + c)) * fm[l];
-                            plane.set(row + c, w);
-                        }
-                    }
-                    for l in (0..layers - 1).rev() {
-                        let row = l * cells;
-                        for c in cr.clone() {
-                            plane.set(
-                                row + c,
-                                plane.get(row + c) - fcp[l] * plane.get(row + cells + c),
-                            );
-                        }
-                    }
-                    for (l, &gv) in g_vert.iter().enumerate().take(layers - 1) {
-                        let row = l * cells;
-                        for c in cr.clone() {
-                            let q = (plane.get(row + c) - plane.get(row + cells + c)) * gv * wdt;
-                            h.set(row + c, h.get(row + c) - q);
-                            h.set(row + cells + c, h.get(row + cells + c) + q);
-                        }
-                    }
-                    let row = (layers - 1) * cells;
-                    for c in cr {
-                        let q_sink = plane.get(row + c) * g_sink * wdt;
-                        h.set(row + c, h.get(row + c) - q_sink);
-                        sink_q.set(c, q_sink);
-                    }
-                }
-            });
-            for c in 0..cells {
-                self.boundary_absorbed_j += self.adi_sink_q[c];
-            }
-        }
-        self.adi_cache = cache;
+        let (g_vert, g_sink) = (&self.g_vert[..], self.g_sink_cell);
+        self.adi.stack.refactor(all, layers, |c, l| {
+            stack_coeffs(ceff[l * cells + c], l, g_vert, g_sink, wdt)
+        });
     }
 
     fn track_peaks(&mut self) {
-        // One die scan refreshes both the gradient tracker and the
-        // junction cache: `hi` is exactly the fold `junction_temp_c`
-        // used to recompute on demand.
+        // One conversion of the die layer serves the gradient tracker,
+        // the junction cache (the hottest die cell) and the per-core
+        // peaks.
+        let cells = self.cells_per_layer;
+        let die = &mut self.scratch_temps[..cells];
+        let cl = &self.cell_layers[0];
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
-        for i in 0..self.cells_per_layer {
-            let t = self.cell_temp(i);
-            lo = lo.min(t);
-            hi = hi.max(t);
+        for (t, &h) in die.iter_mut().zip(&self.enthalpy_j) {
+            *t = cell_temp_of(h, cl.capacity_j_per_k, &cl.phase);
+            lo = lo.min(*t);
+            hi = hi.max(*t);
         }
         self.junction_cache_c = hi;
         self.peak_hotspot_gradient_k = self.peak_hotspot_gradient_k.max(hi - lo);
-        for core in 0..self.core_cells.len() {
-            let t = self.core_temp_c(core);
-            if t > self.peak_core_temps_c[core] {
-                self.peak_core_temps_c[core] = t;
+        for (peak, footprint) in self.peak_core_temps_c.iter_mut().zip(&self.core_cells) {
+            let t = footprint
+                .iter()
+                .map(|&(cell, _)| die[cell])
+                .fold(f64::NEG_INFINITY, f64::max);
+            if t > *peak {
+                *peak = t;
             }
         }
     }
 }
 
-/// A raw view of a cell array that the threaded sweep regions share.
-/// `&mut`-free so the region closure can be `Fn + Sync`; soundness
-/// comes from the sweep's partitioning discipline — every lane reads
-/// and writes only indices in its own [`lane_range`] (or its own rows/
-/// columns/stacks), so no two lanes ever touch the same element within
-/// a region, and [`SolverPool::run`] is a full barrier between regions.
-struct RawCells(*mut f64);
-
-unsafe impl Send for RawCells {}
-unsafe impl Sync for RawCells {}
-
-impl RawCells {
-    /// # Safety
-    /// `i` must be in bounds and, within a pool region, owned by the
-    /// calling lane (no lane reads an element another lane writes).
-    #[inline]
-    unsafe fn get(&self, i: usize) -> f64 {
-        *self.0.add(i)
+/// `f[k] += (from[k] - to[k]) * g` for every `k` of `f`: the flux an
+/// exchange delivers to its receiving cell.
+fn inflow(f: &mut [f64], from: &[f64], to: &[f64], g: f64) {
+    let n = f.len();
+    let (from, to) = (&from[..n], &to[..n]);
+    for k in 0..n {
+        f[k] += (from[k] - to[k]) * g;
     }
+}
 
-    /// # Safety
-    /// Same contract as [`Self::get`].
-    #[inline]
-    unsafe fn set(&self, i: usize, v: f64) {
-        *self.0.add(i) = v;
+/// `f[k] -= (from[k] - to[k]) * g` for every `k` of `f`: the same flux
+/// leaving its sending cell.
+fn outflow(f: &mut [f64], from: &[f64], to: &[f64], g: f64) {
+    let n = f.len();
+    let (from, to) = (&from[..n], &to[..n]);
+    for k in 0..n {
+        f[k] -= (from[k] - to[k]) * g;
     }
+}
+
+/// The exchange `(w[i - s] - w[i]) * g` between every cell of a line
+/// and the cell `s` places before it: each cell first gains the flux
+/// from its predecessor, then loses the flux to its successor — the
+/// order a sequential scan along the line applies them in.
+fn exchange(h: &mut [f64], w: &[f64], s: usize, g: f64) {
+    let n = h.len();
+    if n <= s {
+        return;
+    }
+    let w = &w[..n];
+    outflow(&mut h[..s], w, &w[s..], g);
+    for i in s..n - s {
+        h[i] = h[i] + (w[i - s] - w[i]) * g - (w[i] - w[i + s]) * g;
+    }
+    inflow(&mut h[n - s..], &w[n - 2 * s..], &w[n - s..], g);
+}
+
+/// The next implicit factor's right-hand side `C * w` over one plane;
+/// plateau rows (`C = 0`) keep a zero increment.
+fn next_rhs(rhs: &mut [f64], ceff: &[f64], w: &[f64]) {
+    let n = rhs.len();
+    let (ceff, w) = (&ceff[..n], &w[..n]);
+    for k in 0..n {
+        rhs[k] = ceff[k] * w[k];
+    }
+}
+
+/// The effective capacity of a PCM cell's phase branch for one ADI
+/// sub-step: the solid capacity below the melting plateau, the liquid
+/// capacity above it, and 0 on it (the row becomes fixed-temperature).
+fn branch_capacity(enthalpy_j: f64, solid_capacity_j_per_k: f64, pc: &CellPhase) -> f64 {
+    let h0 = pc.melt_temp_c * solid_capacity_j_per_k;
+    if enthalpy_j <= h0 {
+        solid_capacity_j_per_k
+    } else if enthalpy_j <= h0 + pc.latent_heat_j {
+        0.0
+    } else {
+        pc.liquid_capacity_j_per_k
+    }
+}
+
+/// Row `k` `(sub, diag, sup)` of an implicit lateral line of `len`
+/// cells with neighbour coupling `gdt` (`g * θdt`): `C - θdt Lx`, or a
+/// Dirichlet row (`diag 1`, no coupling) on the melting plateau.
+fn lateral_coeffs(ceff: f64, gdt: f64, k: usize, len: usize) -> (f64, f64, f64) {
+    if ceff == 0.0 {
+        return (0.0, 1.0, 0.0);
+    }
+    let (mut sub, mut diag, mut sup) = (0.0, ceff, 0.0);
+    if k > 0 {
+        diag += gdt;
+        sub = -gdt;
+    }
+    if k + 1 < len {
+        diag += gdt;
+        sup = -gdt;
+    }
+    (sub, diag, sup)
+}
+
+/// Row `l` `(sub, diag, sup)` of an implicit vertical stack (interface
+/// conduction plus the ambient sink on the last layer) at the
+/// theta-weighted step `wdt`, or a Dirichlet row on the plateau.
+fn stack_coeffs(ceff: f64, l: usize, g_vert: &[f64], g_sink: f64, wdt: f64) -> (f64, f64, f64) {
+    if ceff == 0.0 {
+        return (0.0, 1.0, 0.0);
+    }
+    let layers = g_vert.len() + 1;
+    let g_up = if l > 0 { g_vert[l - 1] } else { 0.0 };
+    let g_dn = if l + 1 < layers { g_vert[l] } else { 0.0 };
+    let mut diag = ceff + wdt * (g_up + g_dn);
+    if l + 1 == layers {
+        diag += wdt * g_sink;
+    }
+    (-wdt * g_up, diag, -wdt * g_dn)
 }
 
 /// Piecewise temperature-of-enthalpy (the enthalpy method), matching
@@ -2634,6 +1837,7 @@ fn cell_temp_of(enthalpy_j: f64, solid_capacity_j_per_k: f64, phase: &Option<Cel
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tridiag::Tridiag;
 
     #[test]
     fn starts_at_ambient_everywhere() {
@@ -2953,37 +2157,256 @@ mod tests {
         assert!(g.hotspot_gradient_k() < 1e-6);
     }
 
-    /// Drives the *general* (phase-aware) ADI path with the same
-    /// sub-stepping and peak tracking as [`GridThermal::advance`], so a
-    /// PCM-free grid can be integrated down both paths side by side.
-    fn advance_general(g: &mut GridThermal, dt_s: f64) {
-        assert!(matches!(g.params.solver, GridSolver::Adi));
+    /// The explicit step the engine is pinned against bit for bit: the
+    /// operator scattered from an explicit edge list (lateral edges
+    /// row-major per layer, then that layer's vertical edges, the sink
+    /// last) and applied to every cell. Returns the per-cell increments
+    /// (the ADI right-hand side).
+    fn explicit_step_reference(g: &mut GridThermal, dt: f64) -> Vec<f64> {
+        let (nx, ny) = (g.params.nx, g.params.ny);
+        let cells = g.cells_per_layer;
+        let layers = g.params.layers.len();
+        let n = cells * layers;
+        g.fill_temps();
+        let t = g.scratch_temps.clone();
+        let mut flow = g.power_w.clone();
+        for li in 0..layers {
+            let base = li * cells;
+            let (gx, gy) = (g.lat_gx[li], g.lat_gy[li]);
+            let mut edges = Vec::new();
+            if gx > 0.0 || gy > 0.0 {
+                for y in 0..ny {
+                    for x in 0..nx {
+                        let i = base + y * nx + x;
+                        if x + 1 < nx {
+                            edges.push((i, i + 1, gx));
+                        }
+                        if y + 1 < ny {
+                            edges.push((i, i + nx, gy));
+                        }
+                    }
+                }
+            }
+            if li + 1 < layers {
+                edges.extend((base..base + cells).map(|i| (i, i + cells, g.g_vert[li])));
+            }
+            for (a, b, gab) in edges {
+                let q = (t[a] - t[b]) * gab;
+                flow[a] -= q;
+                flow[b] += q;
+            }
+        }
+        for i in (layers - 1) * cells..n {
+            let q = (t[i] - g.params.ambient_c) * g.g_sink_cell;
+            flow[i] -= q;
+            g.boundary_absorbed_j += q * dt;
+        }
+        let mut rhs = vec![0.0; n];
+        for i in 0..n {
+            let e = flow[i] * dt;
+            g.enthalpy_j[i] += e;
+            rhs[i] = e;
+        }
+        rhs
+    }
+
+    /// The line-at-a-time ADI sub-step the engine is pinned against bit
+    /// for bit: [`explicit_step_reference`]'s operator, then every row,
+    /// column and stack assembled here, independently of the engine's
+    /// coefficient helpers, and eliminated from scratch with
+    /// [`Tridiag::solve`] — no cached factor anywhere.
+    fn adi_step_reference(g: &mut GridThermal, dt: f64) {
+        let (nx, ny) = (g.params.nx, g.params.ny);
+        let cells = g.cells_per_layer;
+        let layers = g.params.layers.len();
+        // Freeze each cell's phase branch (0 = the melting plateau: a
+        // Dirichlet, zero-increment row).
+        let ceff: Vec<f64> = (0..cells * layers)
+            .map(|i| {
+                let (cl, h) = (g.cell(i), g.enthalpy_j[i]);
+                let solid = cl.capacity_j_per_k;
+                match &cl.phase {
+                    None => solid,
+                    Some(pc) => {
+                        let h0 = pc.melt_temp_c * solid;
+                        if h <= h0 {
+                            solid
+                        } else if h <= h0 + pc.latent_heat_j {
+                            0.0
+                        } else {
+                            pc.liquid_capacity_j_per_k
+                        }
+                    }
+                }
+            })
+            .collect();
+        let mut rhs = explicit_step_reference(g, dt);
+        let wdt = ADI_THETA * dt;
+        // One line: `line` lists its cells, `rows[k]` is row `k`'s
+        // `(sub, diag, sup)` off the plateau, `flux(k, dw)` the exchange
+        // between cells `k` and `k + 1`. Applies the exchanges and the
+        // next right-hand side `C * w`, and returns `w`.
+        let mut solver = Tridiag::new();
+        let mut sweep = |g: &mut GridThermal,
+                         rhs: &mut [f64],
+                         line: &[usize],
+                         rows: &[(f64, f64, f64)],
+                         flux: &dyn Fn(usize, f64) -> f64| {
+            let len = line.len();
+            let (mut sub, mut diag, mut sup) = (vec![0.0; len], vec![0.0; len], vec![0.0; len]);
+            let mut r = vec![0.0; len];
+            for (k, &i) in line.iter().enumerate() {
+                if ceff[i] == 0.0 {
+                    (sub[k], diag[k], sup[k]) = (0.0, 1.0, 0.0);
+                } else {
+                    (sub[k], diag[k], sup[k]) = rows[k];
+                    r[k] = rhs[i];
+                }
+            }
+            let mut w = vec![0.0; len];
+            solver.solve(&sub, &diag, &sup, &r, &mut w);
+            for k in 0..len - 1 {
+                let q = flux(k, w[k] - w[k + 1]);
+                g.enthalpy_j[line[k]] -= q;
+                g.enthalpy_j[line[k + 1]] += q;
+            }
+            for (k, &i) in line.iter().enumerate() {
+                if ceff[i] != 0.0 {
+                    rhs[i] = ceff[i] * w[k];
+                }
+            }
+            w
+        };
+        for (axis, len, lanes, stride, lane_step) in [(0, nx, ny, 1, nx), (1, ny, nx, nx, 1)] {
+            for li in 0..layers {
+                let gdt = if axis == 0 {
+                    g.lat_gx[li]
+                } else {
+                    g.lat_gy[li]
+                } * wdt;
+                if gdt <= 0.0 {
+                    continue;
+                }
+                for lane in 0..lanes {
+                    let line: Vec<usize> = (0..len)
+                        .map(|k| li * cells + lane * lane_step + k * stride)
+                        .collect();
+                    let rows: Vec<(f64, f64, f64)> = line
+                        .iter()
+                        .enumerate()
+                        .map(|(k, &i)| {
+                            let (mut sub, mut diag, mut sup) = (0.0, ceff[i], 0.0);
+                            if k > 0 {
+                                diag += gdt;
+                                sub = -gdt;
+                            }
+                            if k + 1 < len {
+                                diag += gdt;
+                                sup = -gdt;
+                            }
+                            (sub, diag, sup)
+                        })
+                        .collect();
+                    sweep(g, &mut rhs, &line, &rows, &|_, dw| dw * gdt);
+                }
+            }
+        }
+        let (g_vert, g_sink) = (g.g_vert.clone(), g.g_sink_cell);
+        for c in 0..cells {
+            let line: Vec<usize> = (0..layers).map(|l| l * cells + c).collect();
+            let rows: Vec<(f64, f64, f64)> = line
+                .iter()
+                .enumerate()
+                .map(|(l, &i)| {
+                    let g_up = if l > 0 { g_vert[l - 1] } else { 0.0 };
+                    let g_dn = if l + 1 < layers { g_vert[l] } else { 0.0 };
+                    let mut diag = ceff[i] + wdt * (g_up + g_dn);
+                    if l + 1 == layers {
+                        diag += wdt * g_sink;
+                    }
+                    (-wdt * g_up, diag, -wdt * g_dn)
+                })
+                .collect();
+            let w = sweep(g, &mut rhs, &line, &rows, &|l, dw| dw * g_vert[l] * wdt);
+            // The sink sees only the increment; the `T^n - ambient`
+            // part was booked with the operator.
+            let q_sink = w[layers - 1] * g_sink * wdt;
+            g.enthalpy_j[line[layers - 1]] -= q_sink;
+            g.boundary_absorbed_j += q_sink;
+        }
+    }
+
+    /// Drives the reference step of `solver` with the sub-stepping and
+    /// peak tracking of [`GridThermal::advance`].
+    fn advance_reference(g: &mut GridThermal, dt_s: f64, solver: GridSolver) {
         if g.core_power_dirty {
             g.apply_core_power_map();
         }
         if dt_s > 0.0 {
-            let steps = (dt_s / g.adi_sub_step_s).ceil().max(1.0) as u64;
+            let bound = match solver {
+                GridSolver::Explicit => g.sub_step_s,
+                GridSolver::Adi => g.adi_sub_step_s,
+            };
+            let steps = (dt_s / bound).ceil().max(1.0) as u64;
             let sub = dt_s / steps as f64;
             for _ in 0..steps {
-                g.adi_step_general(sub);
+                match solver {
+                    GridSolver::Explicit => {
+                        explicit_step_reference(g, sub);
+                    }
+                    GridSolver::Adi => adi_step_reference(g, sub),
+                }
                 g.time_s += sub;
             }
         }
         g.track_peaks();
     }
 
-    #[test]
-    fn linear_fast_path_matches_general_adi_bit_for_bit() {
-        // The PCM-free fast path (batched factors, planar sweeps) must
-        // reproduce the general path to the last bit, or every digest
-        // pinned downstream (cluster, facility) would shift.
-        let mut fast = GridThermalParams::rack(2, 2).build();
-        let mut general = GridThermalParams::rack(2, 2).build();
-        assert!(
-            fast.pcm_cells.is_empty(),
-            "rack preset must be PCM-free for this test"
-        );
-        let cores = fast.params().floorplan.cores().len();
+    /// Every bit of state an `advance` leaves behind must agree.
+    fn assert_same_state(engine: &GridThermal, reference: &GridThermal, at: &str) {
+        for (i, (a, b)) in engine
+            .enthalpy_j
+            .iter()
+            .zip(&reference.enthalpy_j)
+            .enumerate()
+        {
+            assert_eq!(a.to_bits(), b.to_bits(), "cell {i} diverged {at}");
+        }
+        let scalars = [
+            (engine.boundary_absorbed_j, reference.boundary_absorbed_j),
+            (engine.junction_cache_c, reference.junction_cache_c),
+            (
+                engine.peak_hotspot_gradient_k,
+                reference.peak_hotspot_gradient_k,
+            ),
+            (engine.time_s, reference.time_s),
+        ];
+        for (a, b) in scalars {
+            assert_eq!(a.to_bits(), b.to_bits(), "ledger diverged {at}");
+        }
+        for (a, b) in engine
+            .peak_core_temps_c
+            .iter()
+            .zip(&reference.peak_core_temps_c)
+        {
+            assert_eq!(a.to_bits(), b.to_bits(), "core peak diverged {at}");
+        }
+    }
+
+    /// Drives the engine (fallback off) and the reference side by side
+    /// through `windows` seeded windows of random per-core power, every
+    /// seventh `long_s` and the rest `short_s` long, comparing every bit
+    /// after each.
+    fn engine_matches_the_reference(
+        params: GridThermalParams,
+        windows: usize,
+        (long_s, short_s): (f64, f64),
+    ) {
+        let params = params.with_adi_fallback(false);
+        let solver = params.solver;
+        let mut engine = params.clone().build();
+        let mut reference = params.build();
+        let cores = engine.params().floorplan.cores().len();
         let mut state = 0x1234_5678_9abc_def0_u64;
         let mut next = move || {
             state = state
@@ -2991,122 +2414,140 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (state >> 33) as f64 / (1u64 << 31) as f64
         };
-        for window in 0..120 {
+        for window in 0..windows {
             for core in 0..cores {
                 // Mix busy, idle, and repeated-value windows so the
                 // dirty-map early-out is exercised on both sides.
                 let u = next();
                 let watts = if u < 0.4 { 0.0 } else { 40.0 * u };
-                fast.set_core_power_w(core, watts);
-                general.set_core_power_w(core, watts);
+                engine.set_core_power_w(core, watts);
+                reference.set_core_power_w(core, watts);
             }
-            let dt = if window % 7 == 0 { 0.05 } else { 0.002 };
-            fast.advance(dt);
-            advance_general(&mut general, dt);
-        }
-        for i in 0..fast.enthalpy_j.len() {
-            assert_eq!(
-                fast.enthalpy_j[i].to_bits(),
-                general.enthalpy_j[i].to_bits(),
-                "cell {i} diverged"
+            let dt = if window % 7 == 0 { long_s } else { short_s };
+            engine.advance(dt);
+            advance_reference(&mut reference, dt, solver);
+            assert_same_state(
+                &engine,
+                &reference,
+                &format!("{solver:?}, after window {window}"),
             );
-        }
-        assert_eq!(
-            fast.boundary_absorbed_j.to_bits(),
-            general.boundary_absorbed_j.to_bits()
-        );
-        assert_eq!(
-            fast.junction_cache_c.to_bits(),
-            general.junction_cache_c.to_bits()
-        );
-        assert_eq!(
-            fast.peak_hotspot_gradient_k.to_bits(),
-            general.peak_hotspot_gradient_k.to_bits()
-        );
-        for (a, b) in fast
-            .peak_core_temps_c
-            .iter()
-            .zip(&general.peak_core_temps_c)
-        {
-            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 
-    /// Drives the pre-batching per-line general sub-step
-    /// ([`GridThermal::adi_step_general_reference`]) with the same
-    /// sub-stepping and peak tracking as [`GridThermal::advance`].
-    fn advance_general_reference(g: &mut GridThermal, dt_s: f64) {
-        assert!(matches!(g.params.solver, GridSolver::Adi));
-        if g.core_power_dirty {
-            g.apply_core_power_map();
+    /// The rack preset with its plenum made laterally insulating: a
+    /// layer that exchanges along neither axis.
+    fn insulated_plenum_rack() -> GridThermalParams {
+        let mut params = GridThermalParams::rack(2, 2);
+        params.layers[1].lateral_r_square_k_per_w = f64::INFINITY;
+        params
+    }
+
+    #[test]
+    fn linear_fast_path_matches_general_adi_bit_for_bit() {
+        // A PCM-free grid takes the engine's shared-factor path (no
+        // per-lane factors); it must reproduce the uncached per-line
+        // reference to the last bit, or every digest pinned downstream
+        // (cluster, facility) would shift.
+        let params = GridThermalParams::rack(2, 2);
+        assert!(
+            params.layers.iter().all(|l| l.phase_change.is_none()),
+            "rack preset must be PCM-free for this test"
+        );
+        engine_matches_the_reference(params, 120, (0.05, 0.002));
+    }
+
+    #[test]
+    fn line_and_insulated_grids_match_the_reference() {
+        // Single-row and single-column grids (no y or no x exchange at
+        // all) and a layer that exchanges along neither axis take the
+        // edge cases of the gather and of the sweeps.
+        for params in [
+            GridThermalParams::rack(2, 2).with_grid(16, 1),
+            GridThermalParams::rack(2, 2).with_grid(1, 16),
+            insulated_plenum_rack(),
+        ] {
+            engine_matches_the_reference(params, 30, (0.05, 0.002));
         }
-        if dt_s > 0.0 {
-            let steps = (dt_s / g.adi_sub_step_s).ceil().max(1.0) as u64;
-            let sub = dt_s / steps as f64;
-            for _ in 0..steps {
-                g.adi_step_general_reference(sub);
-                g.time_s += sub;
+    }
+
+    #[test]
+    fn explicit_step_matches_the_edge_list_scatter() {
+        // The explicit step is the gather alone: its term order must
+        // round exactly like the edge list, on PCM and PCM-free stacks
+        // and on every degenerate shape.
+        for params in [
+            GridThermalParams::rack(2, 2),
+            GridThermalParams::rack(2, 2).with_grid(16, 1),
+            GridThermalParams::rack(2, 2).with_grid(1, 16),
+            insulated_plenum_rack(),
+            GridThermalParams::hpca_like().with_grid(8, 6),
+        ] {
+            let params = params.with_solver(GridSolver::Explicit);
+            let sub = params.clone().build().sub_step_s();
+            engine_matches_the_reference(params, 24, (40.0 * sub, 3.5 * sub));
+        }
+    }
+
+    /// Drives the PCM engine and the per-line reference side by side on
+    /// an `nx x ny` paper stack through solid heating, the melting
+    /// plateau (Dirichlet rows), full melt, refreeze and a reset, with
+    /// window sizes that change the sub-step (a full refactor) now and
+    /// then, comparing every cell after every window.
+    fn pcm_engine_matches_the_reference(nx: usize, ny: usize) {
+        let params = GridThermalParams::hpca_like()
+            .with_grid(nx, ny)
+            .with_solver(GridSolver::Adi)
+            .with_adi_fallback(false);
+        let mut engine = params.clone().build();
+        let mut reference = params.build();
+        assert!(
+            engine.cell_layers.iter().any(|l| l.phase.is_some()),
+            "the hpca preset must carry PCM for this test"
+        );
+        let sub = engine.adi_sub_step_s();
+        // (chip watts, windows, sub-steps per window)
+        let schedule = [
+            (40.0, 90, 4.0),
+            (24.0, 60, 4.0),
+            (60.0, 40, 2.5),
+            (0.0, 30, 9.0),
+            (60.0, 60, 4.0),
+            (0.0, 0, 0.0),
+            (50.0, 20, 3.0),
+            (0.0, 40, 12.0),
+        ];
+        let (mut melted, mut refroze) = (false, false);
+        for (phase, &(watts, windows, steps)) in schedule.iter().enumerate() {
+            if windows == 0 {
+                engine.reset_to_ambient();
+                reference.reset_to_ambient();
+                assert_same_state(&engine, &reference, "after the reset");
+                continue;
             }
+            engine.set_chip_power_w(watts);
+            reference.set_chip_power_w(watts);
+            for window in 0..windows {
+                engine.advance(steps * sub);
+                advance_reference(&mut reference, steps * sub, GridSolver::Adi);
+                assert_same_state(
+                    &engine,
+                    &reference,
+                    &format!("in phase {phase}, window {window}"),
+                );
+            }
+            let melt = engine.melt_fraction();
+            melted |= melt > 0.05;
+            refroze |= melted && watts == 0.0 && melt < 0.05;
         }
-        g.track_peaks();
+        assert!(
+            melted && refroze,
+            "the schedule must melt the PCM and refreeze it ({nx}x{ny})"
+        );
     }
 
     #[test]
     fn batched_general_sweeps_match_the_per_line_reference_bit_for_bit() {
-        // The lane-major batched assembly (and the factored whole-layer
-        // bundles on the PCM-free layers) must reproduce the
-        // line-at-a-time general sweep to the last bit — through solid
-        // heating, the melting plateau (Dirichlet rows), full melt and
-        // refreeze.
-        let mut batched = GridThermalParams::hpca_like()
-            .with_grid(6, 5)
-            .with_solver(GridSolver::Adi)
-            .build();
-        let mut reference = GridThermalParams::hpca_like()
-            .with_grid(6, 5)
-            .with_solver(GridSolver::Adi)
-            .build();
-        assert!(
-            !batched.pcm_cells.is_empty(),
-            "the hpca preset must carry PCM for this test"
-        );
-        // Sprint hard into the melt, dwell on the plateau, then cool.
-        let schedule = [
-            (18.0, 0.4),
-            (16.0, 0.6),
-            (20.0, 0.5),
-            (0.0, 0.8),
-            (22.0, 0.7),
-            (0.0, 2.0),
-        ];
-        for &(watts, dt) in &schedule {
-            batched.set_chip_power_w(watts);
-            reference.set_chip_power_w(watts);
-            advance_general(&mut batched, dt);
-            advance_general_reference(&mut reference, dt);
-        }
-        assert!(
-            batched.peak_core_temps_c.iter().any(|&t| t > 59.0),
-            "the schedule must actually reach the melt region"
-        );
-        for i in 0..batched.enthalpy_j.len() {
-            assert_eq!(
-                batched.enthalpy_j[i].to_bits(),
-                reference.enthalpy_j[i].to_bits(),
-                "cell {i} diverged"
-            );
-        }
-        assert_eq!(
-            batched.boundary_absorbed_j.to_bits(),
-            reference.boundary_absorbed_j.to_bits()
-        );
-        assert_eq!(
-            batched.junction_cache_c.to_bits(),
-            reference.junction_cache_c.to_bits()
-        );
-        assert_eq!(
-            batched.peak_hotspot_gradient_k.to_bits(),
-            reference.peak_hotspot_gradient_k.to_bits()
-        );
+        pcm_engine_matches_the_reference(6, 5);
+        pcm_engine_matches_the_reference(32, 32);
     }
 }

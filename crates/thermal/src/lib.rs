@@ -78,9 +78,8 @@
 //! * [`analysis`] — sprint and cooldown transients (Figure 4).
 //! * [`trace`] — time-series recording.
 //! * [`tridiag`] — the O(n) Thomas solver behind the ADI sweeps,
-//!   including the batched (structure-of-arrays) bundle solves.
-//! * [`pool`] — the persistent worker pool that fans ADI line sweeps
-//!   across threads, bit-identically at any lane count.
+//!   including the cached shared and per-line factorizations they
+//!   replay.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -92,7 +91,6 @@ pub mod grid;
 pub mod material;
 pub mod node;
 pub mod phone;
-pub mod pool;
 pub mod solver;
 pub mod trace;
 pub mod tridiag;
@@ -107,7 +105,6 @@ pub use grid::{GridLayer, GridSolver, GridThermal, GridThermalParams, LayerPhase
 pub use material::Material;
 pub use node::{PhaseChange, StorageNode};
 pub use phone::{BoardPath, PhoneThermal, PhoneThermalParams};
-pub use pool::SolverPool;
 pub use solver::TransientSolver;
 pub use trace::{Trace, TracePoint};
 pub use tridiag::Tridiag;

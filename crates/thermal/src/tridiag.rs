@@ -5,28 +5,32 @@
 //! layer stack), solved in O(n) time and O(n) scratch. A dense
 //! factorization such as `powergrid::linalg::LuFactor` is the wrong tool
 //! here on every axis: it stores the full `n x n` matrix (the ADI
-//! systems are three-diagonal, everything else is structurally zero),
-//! factors in O(n^3), and must refactor whenever a coefficient changes —
-//! but the ADI coefficients change *every sub-step* (the PCM phase-state
-//! linearization moves cells between sensible and plateau rows), so
-//! nothing would ever amortize. Thomas is the textbook O(n) elimination
-//! specialized to this band structure, and [`Tridiag`] keeps its two
-//! scratch vectors alive across calls so the per-line solve allocates
-//! nothing.
+//! systems are three-diagonal, everything else is structurally zero) and
+//! factors in O(n^3). Thomas is the textbook O(n) elimination
+//! specialized to this band structure; [`Tridiag`] is its per-line form
+//! and keeps its two scratch vectors alive across calls, so the per-line
+//! solve allocates nothing.
 //!
 //! No pivoting is performed; the caller must supply a system with
 //! non-vanishing pivots. Diagonally dominant systems (every implicit
 //! heat-conduction step produces one: `diag = C + dt * sum(G)` against
 //! off-diagonals `-dt * G`) are always safe.
 //!
-//! When the *matrix* is reused across many right-hand sides — the ADI
-//! sweeps of a PCM-free layer solve the identical system for every grid
-//! line of every sub-step, because only melting-plateau rows ever change
-//! a coefficient — [`TridiagFactor`] precomputes the forward-elimination
-//! multipliers once and replays them per solve, eliminating the per-row
-//! division. Its solutions are bit-identical to [`Tridiag::solve`] on
-//! the same system (the arithmetic is the same, in the same order), so
-//! switching between the two paths cannot perturb a trace.
+//! The ADI sweeps reuse each *matrix* across many right-hand sides, so
+//! the hot path never eliminates from scratch:
+//!
+//! * [`TridiagFactor`] — one factorization shared by every line of a
+//!   sweep (a PCM-free layer: every row solves the identical system).
+//! * `TridiagLanes` — one factorization *per line*, stored side by
+//!   side in one plane (a PCM layer, whose melting-plateau cells turn
+//!   their rows into fixed-temperature rows). A line is refactored only
+//!   when one of its coefficients changes.
+//!
+//! Both capture the forward-elimination state (the `1/pivot`
+//! reciprocals and the modified super-diagonal) and replay it per solve,
+//! with the same operations in the same order as [`Tridiag::solve`], so
+//! their solutions are bit-identical to it: switching between the paths
+//! cannot perturb a trace.
 
 /// A reusable Thomas solver. Holds the forward-elimination scratch so
 /// repeated solves (one per grid line per sweep) allocate nothing after
@@ -90,72 +94,6 @@ impl Tridiag {
         x[n - 1] = self.dp[n - 1];
         for i in (0..n - 1).rev() {
             x[i] = self.dp[i] - self.cp[i] * x[i + 1];
-        }
-    }
-
-    /// Solves `lanes` independent tridiagonal systems in one interleaved
-    /// pass, each with its *own* coefficients. Every array is a
-    /// transposed (structure-of-arrays) plane: row `i` of lane `j` lives
-    /// at index `i * lanes + j`, so the inner loops stream over unit
-    /// stride and the auto-vectorizer can chew whole `f64` lanes at
-    /// once. Lane `j` performs exactly the operations of [`Self::solve`]
-    /// on its gathered line, in the same order — the batching only
-    /// changes which lane runs next, never the arithmetic within a lane
-    /// — so each lane's solution is bit-identical to the per-line call.
-    ///
-    /// This is the general-coefficient batch the ADI sweeps of a PCM
-    /// layer need: melting-plateau cells become per-lane Dirichlet rows
-    /// (`diag 1`, zero couplings), which is just another coefficient
-    /// pattern here.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is zero, the slice lengths differ, or they are
-    /// not a multiple of `lanes`.
-    pub fn solve_batch(
-        &mut self,
-        sub: &[f64],
-        diag: &[f64],
-        sup: &[f64],
-        rhs: &[f64],
-        x: &mut [f64],
-        lanes: usize,
-    ) {
-        assert!(lanes > 0, "batched solve needs at least one lane");
-        let total = diag.len();
-        assert!(
-            total.is_multiple_of(lanes) && total > 0,
-            "batched slice lengths must be a non-zero multiple of the lane count"
-        );
-        let n = total / lanes;
-        assert!(
-            sub.len() == total && sup.len() == total && rhs.len() == total && x.len() == total,
-            "tridiagonal slice lengths must match"
-        );
-        self.cp.clear();
-        self.cp.resize(total, 0.0);
-        self.dp.clear();
-        self.dp.resize(total, 0.0);
-        for j in 0..lanes {
-            let m0 = 1.0 / diag[j];
-            self.cp[j] = sup[j] * m0;
-            self.dp[j] = rhs[j] * m0;
-        }
-        for i in 1..n {
-            let row = i * lanes;
-            for j in 0..lanes {
-                let m = 1.0 / (diag[row + j] - sub[row + j] * self.cp[row - lanes + j]);
-                self.cp[row + j] = sup[row + j] * m;
-                self.dp[row + j] = (rhs[row + j] - sub[row + j] * self.dp[row - lanes + j]) * m;
-            }
-        }
-        let last = (n - 1) * lanes;
-        x[last..last + lanes].copy_from_slice(&self.dp[last..last + lanes]);
-        for i in (0..n - 1).rev() {
-            let row = i * lanes;
-            for j in 0..lanes {
-                x[row + j] = self.dp[row + j] - self.cp[row + j] * x[row + lanes + j];
-            }
         }
     }
 }
@@ -258,79 +196,228 @@ impl TridiagFactor {
             rhs.len() == n * width && x.len() == n * width,
             "tridiagonal slice lengths must match"
         );
-        let m0 = self.m[0];
-        for j in 0..width {
-            x[j] = rhs[j] * m0;
-        }
-        for i in 1..n {
-            let mi = self.m[i];
-            let si = self.sub[i];
-            let row = i * width;
-            for j in 0..width {
-                x[row + j] = (rhs[row + j] - si * x[row - width + j]) * mi;
-            }
-        }
-        for i in (0..n - 1).rev() {
-            let ci = self.cp[i];
-            let row = i * width;
-            for j in 0..width {
-                x[row + j] -= ci * x[row + width + j];
-            }
-        }
+        interleaved_solve(
+            n,
+            width,
+            rhs,
+            x,
+            |i| (self.sub[i], self.m[i]),
+            |i| self.cp[i],
+        );
     }
 
     /// Solves a bundle of *contiguous* lines sharing this factorization:
     /// `rhs` holds `count = rhs.len() / len()` whole lines back to back
     /// (line `j` at `rhs[j * len() ..][.. len()]`), the layout ADI row
-    /// sweeps produce naturally. The bundle is staged through `scratch`
-    /// into the transposed (structure-of-arrays) layout, swept with
-    /// [`Self::solve_planar`] — whose unit-stride inner loops the
-    /// auto-vectorizer turns into whole-`f64`-lane arithmetic — and
-    /// transposed back. The transposes move data without touching it,
-    /// and each planar lane is bit-identical to [`Self::solve`], so
-    /// line `j`'s solution matches a per-line `solve` bit for bit.
-    ///
-    /// `scratch` is resized as needed and holds no state between calls;
-    /// keep one per caller (or per worker thread) to amortize the
-    /// allocation.
+    /// sweeps produce naturally. The lines advance in lockstep — step
+    /// `i` of every line before step `i + 1` of any — so their
+    /// independent recurrences overlap instead of each line waiting out
+    /// its own dependency chain. Line `j`'s arithmetic is exactly
+    /// [`Self::solve`]'s, so its solution matches a per-line `solve` bit
+    /// for bit.
     ///
     /// # Panics
     ///
     /// Panics if `rhs` and `x` differ in length, or their length is not
     /// a non-zero multiple of the factored size.
-    pub fn solve_batch(&self, rhs: &[f64], x: &mut [f64], scratch: &mut Vec<f64>) {
+    pub fn solve_batch(&self, rhs: &[f64], x: &mut [f64]) {
         let n = self.m.len();
         assert!(
             rhs.len() == x.len() && !rhs.is_empty() && rhs.len().is_multiple_of(n),
             "batched slice lengths must be a non-zero multiple of the factored size"
         );
-        let count = rhs.len() / n;
-        scratch.clear();
-        scratch.resize(2 * n * count, 0.0);
-        let (staged, solved) = scratch.split_at_mut(n * count);
-        for j in 0..count {
-            let line = &rhs[j * n..(j + 1) * n];
-            for (i, &v) in line.iter().enumerate() {
-                staged[i * count + j] = v;
-            }
-        }
-        self.solve_planar(staged, solved, count);
-        for j in 0..count {
-            let line = &mut x[j * n..(j + 1) * n];
-            for (i, out) in line.iter_mut().enumerate() {
-                *out = solved[i * count + j];
-            }
+        contiguous_solve(n, rhs, x, |i| (self.sub[i], self.m[i]), |i| self.cp[i]);
+    }
+}
+
+/// How the lines of a [`TridiagLanes`] plane are laid out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+pub(crate) enum LineLayout {
+    /// Line `j` occupies `[j * len, (j + 1) * len)`: the rows of an ADI
+    /// layer plane.
+    Contiguous,
+    /// Row `i` of line `j` sits at `i * lanes + j`: the columns of an ADI
+    /// layer plane, or the vertical stacks of the whole grid.
+    Interleaved,
+}
+
+/// Per-line factorizations of `lanes` independent tridiagonal systems
+/// of `len` unknowns each, stored side by side (row `i` of every line,
+/// then row `i + 1`), solving right-hand sides in either
+/// [`LineLayout`].
+///
+/// Where [`TridiagFactor`] shares one factorization across every line,
+/// this keeps one per line, so lines with different coefficients (the
+/// ADI rows of a PCM layer, where melting-plateau cells are
+/// fixed-temperature rows) still replay a cached elimination; a caller
+/// refactors only the lines whose coefficients changed. Every line
+/// performs exactly [`Tridiag::solve`]'s operations in the same order,
+/// so its solution is bit-identical to the per-line solve.
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+pub(crate) struct TridiagLanes {
+    len: usize,
+    lanes: usize,
+    layout: LineLayout,
+    /// Sub-diagonal per line row.
+    sub: Vec<f64>,
+    /// Modified super-diagonal per line row.
+    cp: Vec<f64>,
+    /// Pivot reciprocal per line row.
+    m: Vec<f64>,
+}
+
+impl TridiagLanes {
+    /// Zeroed planes for `lanes` systems of `len` unknowns. Every line
+    /// must be factored ([`Self::factor_lane`]) before the first solve.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` or `lanes` is zero.
+    pub fn new(len: usize, lanes: usize, layout: LineLayout) -> Self {
+        assert!(len > 0 && lanes > 0, "empty tridiagonal system");
+        let plane = vec![0.0; len * lanes];
+        Self {
+            len,
+            lanes,
+            layout,
+            sub: plane.clone(),
+            cp: plane.clone(),
+            m: plane,
         }
     }
 
-    /// The factorization's raw parts `(sub, cp, m)` — the sub-diagonal,
-    /// modified super-diagonal and pivot reciprocals — for callers that
-    /// replay the [`Self::solve_planar`] recurrences over a *subrange*
-    /// of lanes (the threaded ADI sweeps partition a planar solve by
-    /// lane ranges; each lane's arithmetic is unchanged, so the split is
-    /// bit-identical to the whole-plane call).
-    pub(crate) fn parts(&self) -> (&[f64], &[f64], &[f64]) {
-        (&self.sub, &self.cp, &self.m)
+    /// (Re)factors line `lane` from its coefficients: `coeffs(i)`
+    /// returns row `i`'s `(sub, diag, sup)` (conventions and pivot
+    /// contract as in [`Tridiag::solve`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is out of range.
+    pub fn factor_lane(&mut self, lane: usize, mut coeffs: impl FnMut(usize) -> (f64, f64, f64)) {
+        assert!(lane < self.lanes, "lane out of range");
+        let mut cp_prev = 0.0;
+        for i in 0..self.len {
+            let (sub, diag, sup) = coeffs(i);
+            let m = if i == 0 {
+                1.0 / diag
+            } else {
+                1.0 / (diag - sub * cp_prev)
+            };
+            cp_prev = sup * m;
+            let p = i * self.lanes + lane;
+            self.sub[p] = sub;
+            self.cp[p] = cp_prev;
+            self.m[p] = m;
+        }
+    }
+
+    /// Solves every line against its own factorization; `rhs` and `x`
+    /// use the plane's layout.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `rhs` and `x` hold exactly `len * lanes` values.
+    pub fn solve(&self, rhs: &[f64], x: &mut [f64]) {
+        let (n, w) = (self.len, self.lanes);
+        assert!(
+            rhs.len() == n * w && x.len() == n * w,
+            "tridiagonal slice lengths must match"
+        );
+        let fwd = |i: usize| (&self.sub[i * w..][..w], &self.m[i * w..][..w]);
+        let back = |i: usize| &self.cp[i * w..][..w];
+        match self.layout {
+            LineLayout::Contiguous => contiguous_solve(n, rhs, x, fwd, back),
+            LineLayout::Interleaved => interleaved_solve(n, w, rhs, x, fwd, back),
+        }
+    }
+}
+
+/// One row's replay coefficients across the lines of a batch: a single
+/// value every line shares ([`TridiagFactor`]), or one value per line
+/// ([`TridiagLanes`]).
+trait RowCoef: Copy {
+    /// Line `j`'s value.
+    fn lane(self, j: usize) -> f64;
+}
+
+impl RowCoef for f64 {
+    #[inline(always)]
+    fn lane(self, _: usize) -> f64 {
+        self
+    }
+}
+
+impl RowCoef for &[f64] {
+    #[inline(always)]
+    fn lane(self, j: usize) -> f64 {
+        self[j]
+    }
+}
+
+/// The replayed Thomas passes over `width` interleaved lines of `n`
+/// rows, one unit-stride plane row at a time: `fwd(i)` yields row `i`'s
+/// `(sub, 1/pivot)` and `back(i)` its modified super-diagonal.
+#[inline(always)]
+fn interleaved_solve<C: RowCoef>(
+    n: usize,
+    width: usize,
+    rhs: &[f64],
+    x: &mut [f64],
+    fwd: impl Fn(usize) -> (C, C),
+    back: impl Fn(usize) -> C,
+) {
+    let (x0, r0, m) = (&mut x[..width], &rhs[..width], fwd(0).1);
+    for j in 0..width {
+        x0[j] = r0[j] * m.lane(j);
+    }
+    for i in 1..n {
+        let (s, m) = fwd(i);
+        let (done, rest) = x.split_at_mut(i * width);
+        let prev = &done[(i - 1) * width..][..width];
+        let row = &rhs[i * width..][..width];
+        let xi = &mut rest[..width];
+        for j in 0..width {
+            xi[j] = (row[j] - s.lane(j) * prev[j]) * m.lane(j);
+        }
+    }
+    for i in (0..n - 1).rev() {
+        let c = back(i);
+        let (head, next) = x.split_at_mut((i + 1) * width);
+        let (xi, next) = (&mut head[i * width..][..width], &next[..width]);
+        for j in 0..width {
+            xi[j] -= c.lane(j) * next[j];
+        }
+    }
+}
+
+/// The replayed Thomas passes over contiguous lines of `n` rows, in
+/// lockstep across lines. Coefficients as in [`interleaved_solve`].
+#[inline(always)]
+fn contiguous_solve<C: RowCoef>(
+    n: usize,
+    rhs: &[f64],
+    x: &mut [f64],
+    fwd: impl Fn(usize) -> (C, C),
+    back: impl Fn(usize) -> C,
+) {
+    let lines = x.len() / n;
+    let m = fwd(0).1;
+    for j in 0..lines {
+        x[j * n] = rhs[j * n] * m.lane(j);
+    }
+    for i in 1..n {
+        let (s, m) = fwd(i);
+        for j in 0..lines {
+            let p = j * n + i;
+            x[p] = (rhs[p] - s.lane(j) * x[p - 1]) * m.lane(j);
+        }
+    }
+    for i in (0..n - 1).rev() {
+        let c = back(i);
+        for j in 0..lines {
+            let p = j * n + i;
+            x[p] -= c.lane(j) * x[p + 1];
+        }
     }
 }
 
@@ -538,9 +625,9 @@ mod tests {
 
     #[test]
     fn batched_factor_solve_is_bit_identical_per_line() {
-        // `solve_batch` stages contiguous lines through the transposed
-        // layout; every line must come back bit-identical to a per-line
-        // `solve`, or the batched ADI row sweeps would perturb traces.
+        // `solve_batch` advances contiguous lines in lockstep; every line
+        // must come back bit-identical to a per-line `solve`, or the
+        // batched ADI row sweeps would perturb traces.
         let mut state = 0x1234_5678_9abc_def0_u64;
         let mut next = move || {
             state = state
@@ -548,7 +635,6 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             ((state >> 33) as f64) / ((1u64 << 31) as f64) - 0.5
         };
-        let mut scratch = Vec::new();
         for (n, count) in [(1usize, 4usize), (3, 1), (8, 5), (16, 16), (33, 7)] {
             let mut sub = vec![0.0; n];
             let mut diag = vec![0.0; n];
@@ -565,7 +651,7 @@ mod tests {
             let factor = TridiagFactor::new(&sub, &diag, &sup);
             let rhs: Vec<f64> = (0..n * count).map(|_| 10.0 * next()).collect();
             let mut x_batch = vec![0.0; n * count];
-            factor.solve_batch(&rhs, &mut x_batch, &mut scratch);
+            factor.solve_batch(&rhs, &mut x_batch);
             for line in 0..count {
                 let mut x_line = vec![0.0; n];
                 factor.solve(&rhs[line * n..(line + 1) * n], &mut x_line);
@@ -582,9 +668,10 @@ mod tests {
 
     #[test]
     fn batched_general_solve_is_bit_identical_per_lane() {
-        // The general batch carries per-lane coefficients (the PCM path:
+        // Per-line factors carry per-lane coefficients (the PCM path:
         // melting-plateau cells become Dirichlet rows in *some* lanes);
-        // every lane must match a per-line `solve` bit for bit.
+        // in either plane layout, every lane must match a per-line
+        // `solve` bit for bit, also after a lane is refactored.
         let mut state = 0xfeed_face_cafe_beef_u64;
         let mut next = move || {
             state = state
@@ -593,52 +680,78 @@ mod tests {
             ((state >> 33) as f64) / ((1u64 << 31) as f64) - 0.5
         };
         let mut solver = Tridiag::new();
-        let mut batch = Tridiag::new();
-        for (n, lanes) in [(1usize, 3usize), (4, 1), (8, 8), (16, 5)] {
-            let total = n * lanes;
-            let mut sub = vec![0.0; total];
-            let mut diag = vec![0.0; total];
-            let mut sup = vec![0.0; total];
-            let mut rhs = vec![0.0; total];
-            for j in 0..lanes {
-                for i in 0..n {
-                    let k = i * lanes + j;
-                    if i > 0 {
-                        sub[k] = next();
+        for layout in [LineLayout::Contiguous, LineLayout::Interleaved] {
+            for (n, lanes) in [(1usize, 3usize), (4, 1), (8, 8), (16, 5)] {
+                let at = |i: usize, j: usize| match layout {
+                    LineLayout::Contiguous => j * n + i,
+                    LineLayout::Interleaved => i * lanes + j,
+                };
+                let total = n * lanes;
+                let mut sub = vec![0.0; total];
+                let mut diag = vec![0.0; total];
+                let mut sup = vec![0.0; total];
+                let mut factors = TridiagLanes::new(n, lanes, layout);
+                for round in 0..2 {
+                    for j in 0..lanes {
+                        // Round 1 refactors every other lane only.
+                        if round == 1 && j % 2 == 0 {
+                            continue;
+                        }
+                        for i in 0..n {
+                            let k = at(i, j);
+                            sub[k] = if i > 0 { next() } else { 0.0 };
+                            sup[k] = if i + 1 < n { next() } else { 0.0 };
+                            diag[k] = 2.5 + next().abs() + sub[k].abs() + sup[k].abs();
+                        }
+                        // Sprinkle Dirichlet (plateau) rows into odd
+                        // lanes, the pattern the linearized PCM sweeps
+                        // produce.
+                        if j % 2 == 1 && n > 2 {
+                            let k = at(n / 2, j);
+                            sub[k] = 0.0;
+                            diag[k] = 1.0;
+                            sup[k] = 0.0;
+                        }
+                        factors.factor_lane(j, |i| (sub[at(i, j)], diag[at(i, j)], sup[at(i, j)]));
                     }
-                    if i + 1 < n {
-                        sup[k] = next();
+                    let rhs: Vec<f64> = (0..total).map(|_| 10.0 * next()).collect();
+                    let mut x_batch = vec![0.0; total];
+                    factors.solve(&rhs, &mut x_batch);
+                    for j in 0..lanes {
+                        let gather = |plane: &[f64]| -> Vec<f64> {
+                            (0..n).map(|i| plane[at(i, j)]).collect()
+                        };
+                        let (s, d, u, r) =
+                            (gather(&sub), gather(&diag), gather(&sup), gather(&rhs));
+                        let mut x_line = vec![0.0; n];
+                        solver.solve(&s, &d, &u, &r, &mut x_line);
+                        for i in 0..n {
+                            assert_eq!(
+                                x_line[i].to_bits(),
+                                x_batch[at(i, j)].to_bits(),
+                                "{layout:?} n={n} lanes={lanes} lane={j} row {i}"
+                            );
+                        }
                     }
-                    diag[k] = 2.5 + next().abs() + sub[k].abs() + sup[k].abs();
-                    rhs[k] = 10.0 * next();
-                }
-                // Sprinkle Dirichlet (plateau) rows into odd lanes, the
-                // exact pattern the linearized PCM sweeps produce.
-                if j % 2 == 1 && n > 2 {
-                    let k = (n / 2) * lanes + j;
-                    sub[k] = 0.0;
-                    diag[k] = 1.0;
-                    sup[k] = 0.0;
-                    rhs[k] = 0.0;
-                }
-            }
-            let mut x_batch = vec![0.0; total];
-            batch.solve_batch(&sub, &diag, &sup, &rhs, &mut x_batch, lanes);
-            for j in 0..lanes {
-                let gather =
-                    |plane: &[f64]| -> Vec<f64> { (0..n).map(|i| plane[i * lanes + j]).collect() };
-                let (s, d, u, r) = (gather(&sub), gather(&diag), gather(&sup), gather(&rhs));
-                let mut x_line = vec![0.0; n];
-                solver.solve(&s, &d, &u, &r, &mut x_line);
-                for i in 0..n {
-                    assert_eq!(
-                        x_line[i].to_bits(),
-                        x_batch[i * lanes + j].to_bits(),
-                        "n={n} lanes={lanes} lane={j} row {i}"
-                    );
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "non-zero multiple")]
+    fn a_batch_must_hold_whole_lines() {
+        let factor = TridiagFactor::new(&[0.0, -1.0], &[2.0, 2.0], &[-1.0, 0.0]);
+        let mut x = [0.0; 3];
+        factor.solve_batch(&[1.0; 3], &mut x);
+    }
+
+    #[test]
+    #[should_panic(expected = "slice lengths must match")]
+    fn a_lanes_plane_must_match_its_shape() {
+        let lanes = TridiagLanes::new(2, 3, LineLayout::Interleaved);
+        let mut x = [0.0; 5];
+        lanes.solve(&[1.0; 5], &mut x);
     }
 
     #[test]

@@ -37,7 +37,6 @@ fn golden_params() -> GridThermalParams {
         stability_fraction: 0.2,
         // The golden table pins the explicit scheme's bit pattern.
         solver: GridSolver::Explicit,
-        solver_threads: 1,
         adi_explicit_fallback: true,
     }
 }

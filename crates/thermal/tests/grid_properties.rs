@@ -30,7 +30,6 @@ fn uniform_stack(
         r_sink_ambient_k_per_w: sink_r,
         stability_fraction: 0.2,
         solver: GridSolver::Explicit,
-        solver_threads: 1,
         adi_explicit_fallback: true,
     }
 }

@@ -38,12 +38,7 @@ fn run_on(policy: HotspotPolicy, thermal: GridThermalParams) -> (RunReport, Grid
     let mut session = ScenarioBuilder::new()
         .machine(MachineConfig::hpca())
         .load(suite_loader(WorkloadKind::Sobel, InputSize::C, 16))
-        .thermal(
-            thermal
-                .time_scaled(COMPRESS)
-                .with_env_solver_threads()
-                .build(),
-        )
+        .thermal(thermal.time_scaled(COMPRESS).build())
         .config(cfg)
         .trace_capacity(0)
         .build();
