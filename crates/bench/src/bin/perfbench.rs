@@ -30,8 +30,9 @@
 //!   the end-to-end tasks/sec floor with zero electrical aborts and
 //!   all-zero fault counters (no fault plan is installed, so the
 //!   always-on fault ports must stay perfectly inert), the event core
-//!   beats the lockstep oracle by at least 5x while reproducing its
-//!   report digest byte for byte, and on the
+//!   beats the lockstep oracle by at least 5x (the median ratio of
+//!   three alternating pairs) while reproducing its report digest byte
+//!   for byte on every run, and on the
 //!   degraded heterogeneous rack the duplicate+cancel p99 beats the
 //!   retry-in-place p99 (duplication must stay a latency hedge, not a
 //!   throughput tax).
@@ -53,12 +54,14 @@ const CHECK_MAX_DEV_K: f64 = 0.1;
 /// cache) without flaking on slow CI runners.
 const CHECK_MIN_TASKS_PER_S: f64 = 3.0;
 /// The `--check` gate: minimum event-core speedup over the lockstep
-/// oracle on the 4096-server sparse-arrival drain. The committed
-/// baseline sits above 10x; 5x leaves noisy-runner headroom while
-/// still catching a regression that reintroduces per-idle-node work
-/// into the event core's window step. Byte-for-byte digest equality
-/// with the oracle is asserted inside the measurement itself — a
-/// divergent event core aborts the bench before any number is printed.
+/// oracle on the 4096-server sparse-arrival drain, judged on the median
+/// ratio of three alternating pairs so one noisy run cannot fail it.
+/// The committed baseline sits above 10x; 5x leaves noisy-runner
+/// headroom while still catching a regression that reintroduces
+/// per-idle-node work into the event core's window step. Byte-for-byte
+/// digest equality with the oracle is asserted inside the measurement
+/// on every run — a divergent event core aborts the bench before any
+/// number is printed.
 const CHECK_MIN_EVENT_SPEEDUP: f64 = 5.0;
 
 fn main() {
@@ -110,9 +113,12 @@ fn main() {
             run.facility.failed_tasks,
         );
         println!(
-            "perf-smoke gate: event core {:.1}x over the lockstep oracle \
-             (need >= {CHECK_MIN_EVENT_SPEEDUP}x), digest {:016x} byte-identical",
-            run.event_core.speedup, run.event_core.digest,
+            "perf-smoke gate: event core {:.1}x over the lockstep oracle, median \
+             of {} pairs (need >= {CHECK_MIN_EVENT_SPEEDUP}x), digest {:016x} \
+             byte-identical",
+            run.event_core.speedup,
+            figs_perf::EVENT_PAIRS,
+            run.event_core.digest,
         );
         println!(
             "perf-smoke gate: hetero rack dup+cancel p99 {:.2} ms vs retry p99 \

@@ -155,10 +155,6 @@ pub fn study_facility_with(
         .facility_cap_w(share_w * racks as f64)
         .epoch_windows(FACILITY_EPOCH_WINDOWS)
         .max_time_s(60.0)
-        // The event-driven core is the default study engine; the
-        // lockstep oracle stays reachable through the customize hook
-        // (the `--oracle` cross-check rebuilds with it).
-        .event_driven(true)
         .traffic(facility_traffic(tasks));
     customize(builder).build()
 }

@@ -117,7 +117,7 @@ pub fn run_fault_point(
         racks,
         tasks,
         |builder| {
-            let builder = builder.max_time_s(max_time_s).event_driven(true);
+            let builder = builder.max_time_s(max_time_s);
             match rates {
                 Some(rates) => builder.fault_rates(rates).fault_response(response),
                 None => builder,

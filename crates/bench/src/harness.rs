@@ -1,5 +1,5 @@
-//! The experiment harness shared by the `repro` binary and the Criterion
-//! benches: standard machine/thermal instantiations and run drivers.
+//! The experiment harness behind the `repro` figures: standard
+//! machine/thermal instantiations and run drivers.
 //!
 //! # Time scaling
 //!

@@ -501,6 +501,30 @@ impl std::fmt::Display for ClusterBuildError {
 
 impl std::error::Error for ClusterBuildError {}
 
+/// The fault-plan checks [`ClusterBuilder::try_build`] runs, in its
+/// order: a positive retry backoff, events sorted by `(window, node)`,
+/// and every event on one of the rack's `nodes` nodes. Public so a tier
+/// that composes racks can vet every rack's plan before building any.
+pub fn check_fault_plan(plan: &FaultPlan, nodes: usize) -> Result<(), ClusterBuildError> {
+    if plan.backoff_windows == 0 {
+        return Err(ClusterBuildError::ZeroFaultBackoff);
+    }
+    if !plan
+        .events
+        .windows(2)
+        .all(|p| (p[0].window, p[0].node) <= (p[1].window, p[1].node))
+    {
+        return Err(ClusterBuildError::UnsortedFaultPlan);
+    }
+    if let Some(ev) = plan.events.iter().find(|e| e.node as usize >= nodes) {
+        return Err(ClusterBuildError::FaultNodeOutOfRange {
+            node: ev.node,
+            nodes,
+        });
+    }
+    Ok(())
+}
+
 /// Composes a rack, per-node machines, a policy and a task queue into a
 /// [`ClusterSession`].
 pub struct ClusterBuilder {
@@ -724,23 +748,7 @@ impl ClusterBuilder {
             }
         }
         if let Some(plan) = &self.fault_plan {
-            let nodes_n = self.rack_params.floorplan.core_count();
-            if plan.backoff_windows == 0 {
-                return Err(ClusterBuildError::ZeroFaultBackoff);
-            }
-            if !plan
-                .events
-                .windows(2)
-                .all(|p| (p[0].window, p[0].node) <= (p[1].window, p[1].node))
-            {
-                return Err(ClusterBuildError::UnsortedFaultPlan);
-            }
-            if let Some(ev) = plan.events.iter().find(|e| e.node as usize >= nodes_n) {
-                return Err(ClusterBuildError::FaultNodeOutOfRange {
-                    node: ev.node,
-                    nodes: nodes_n,
-                });
-            }
+            check_fault_plan(plan, self.rack_params.floorplan.core_count())?;
         }
         if let Some(specs) = &self.node_specs {
             let nodes_n = self.rack_params.floorplan.core_count();

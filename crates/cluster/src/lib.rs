@@ -185,8 +185,8 @@ pub mod rack;
 pub mod supply;
 
 pub use cluster::{
-    ClusterBuildError, ClusterBuilder, ClusterEvent, ClusterOutcome, ClusterReport, ClusterSession,
-    NodeSpec, Placement,
+    check_fault_plan, ClusterBuildError, ClusterBuilder, ClusterEvent, ClusterOutcome,
+    ClusterReport, ClusterSession, NodeSpec, Placement,
 };
 pub use event::EventDrivenCluster;
 pub use policy::{ClusterPolicy, PowerPolicy};

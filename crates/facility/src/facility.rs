@@ -1,14 +1,15 @@
 //! The facility: rack composition, row airflow coupling, the epoch
-//! settlement loop, and the facility-wide report.
+//! loop that carries settlement inputs and telemetry between worker
+//! shards, and the facility-wide report.
 
 use std::sync::mpsc;
-use std::thread;
+use std::{panic, thread};
 
 use serde::{Deserialize, Serialize};
 use sprint_archsim::config::MachineConfig;
 use sprint_cluster::{
-    ClusterBuildError, ClusterBuilder, ClusterOutcome, ClusterPolicy, ClusterReport,
-    ClusterSession, ClusterTask, NodeSpec, Placement, PowerPolicy, RackSupplyParams,
+    check_fault_plan, ClusterBuildError, ClusterBuilder, ClusterOutcome, ClusterPolicy,
+    ClusterReport, ClusterSession, ClusterTask, NodeSpec, Placement, PowerPolicy, RackSupplyParams,
 };
 use sprint_core::config::SprintConfig;
 use sprint_core::fault::{FaultPlan, FaultRates, FaultResponse};
@@ -16,7 +17,8 @@ use sprint_thermal::grid::GridThermalParams;
 use sprint_workloads::traffic::TrafficParams;
 
 use crate::policy::FacilityPolicy;
-use crate::shard::{self, Command, RackInputs, Reply};
+use crate::settlement::Settlement;
+use crate::shard::{RackInputs, Shard};
 
 /// Plain-data recipe for one rack — everything a worker thread needs to
 /// build the rack's (non-`Send`) [`ClusterSession`] locally.
@@ -227,7 +229,7 @@ impl FacilityReport {
             eat(bits);
         }
         for report in &self.rack_reports {
-            eat(cluster_report_digest(report));
+            eat(report.digest());
         }
         hash
     }
@@ -243,19 +245,6 @@ impl FacilityReport {
                 .iter()
                 .all(|r| r.task_conservation_holds())
     }
-}
-
-/// FNV-1a fingerprint of one rack's [`ClusterReport`]: every scalar
-/// field, every task outcome, and every node report's scalars, all at
-/// exact `f64` bits. Two reports agree on this digest exactly when they
-/// are byte-identical in every figure a study could quote — the
-/// facility equivalence tests use it to show a one-rack facility
-/// reproduces a standalone [`ClusterSession`] run, and the cluster
-/// crate's golden-equivalence tests use the same digest (via
-/// [`ClusterReport::digest`], which this delegates to) to show the
-/// event-driven core reproduces the lockstep oracle.
-pub fn cluster_report_digest(report: &ClusterReport) -> u64 {
-    report.digest()
 }
 
 /// Nearest-rank percentile over pre-collected latencies (`q` in
@@ -304,10 +293,7 @@ pub enum FacilityBuildError {
     Row(&'static str),
     /// Traffic routing with fewer tasks than racks.
     SparseTraffic,
-    /// A per-rack fault plan the cluster tier would reject (message
-    /// from the cluster's own checks).
-    Fault(String),
-    /// A rack spec any [`ClusterBuilder`] check rejects.
+    /// A rack spec or fault plan any [`ClusterBuilder`] check rejects.
     Rack(ClusterBuildError),
 }
 
@@ -318,7 +304,7 @@ impl std::fmt::Display for FacilityBuildError {
             Self::MissingFacilityCap => {
                 write!(f, "global rationing needs a facility_cap_w to divide")
             }
-            Self::Policy(msg) | Self::Fault(msg) => write!(f, "{msg}"),
+            Self::Policy(msg) => write!(f, "{msg}"),
             Self::BadFacilityCap => write!(f, "a facility cap must be positive and finite"),
             Self::CapWithoutRackSupply => write!(
                 f,
@@ -358,7 +344,8 @@ impl From<ClusterBuildError> for FacilityBuildError {
 /// Composes rack specs, row coupling and the facility feed into a
 /// [`Facility`]. Defaults mirror [`ClusterBuilder`]'s: the paper's
 /// 16-core machine per node, `hpca_parallel` sprints, greedy-headroom
-/// thermal admission, power-oblivious local admission, no tracing.
+/// thermal admission, power-oblivious local admission, no tracing; every
+/// rack steps on the event-driven core.
 #[derive(Debug)]
 pub struct FacilityBuilder {
     racks: usize,
@@ -417,19 +404,19 @@ impl FacilityBuilder {
             fault_rates: None,
             fault_seed: 2012,
             fault_response: FaultResponse::Aware,
-            event_driven: false,
+            event_driven: true,
             route_requeues: false,
         }
     }
 
-    /// Runs every rack on the event-driven core instead of the lockstep
-    /// stepper (default off). Idle and resting nodes then cost nothing
-    /// between their thermally-relevant ticks, which is where sparse
-    /// open-arrival facilities spend most of their windows. By the
-    /// cluster crate's golden-equivalence invariant the facility report
-    /// digest is byte-identical either way — the determinism tests pin
-    /// this at several worker-thread counts — so this is purely a
-    /// wall-clock knob.
+    /// Selects each rack's stepping core (default on: the event-driven
+    /// core, where idle and resting nodes cost nothing between their
+    /// thermally-relevant ticks). `false` selects the lockstep
+    /// [`ClusterSession`] stepper, which steps every node every window:
+    /// the reference the equivalence tests and `repro facility --oracle`
+    /// compare the event core against. By the cluster crate's
+    /// golden-equivalence invariant the facility report digest is
+    /// byte-identical either way, so this is purely a wall-clock knob.
     pub fn event_driven(mut self, event_driven: bool) -> Self {
         self.event_driven = event_driven;
         self
@@ -732,6 +719,8 @@ impl FacilityBuilder {
                 }
                 (None, None) => None,
             };
+            // Every rack's plan is vetted here: the rack-config check
+            // below builds rack 0 only.
             if let Some(plan) = &plan {
                 check_fault_plan(plan, nodes)?;
             }
@@ -783,33 +772,6 @@ impl FacilityBuilder {
     }
 }
 
-/// The cluster tier's fault-plan shape checks, as values: every rack's
-/// plan is vetted on the builder's thread, not inside a worker whose
-/// panic would poison the facility channels mid-run.
-fn check_fault_plan(plan: &FaultPlan, nodes: usize) -> Result<(), FacilityBuildError> {
-    if plan.backoff_windows == 0 {
-        return Err(FacilityBuildError::Fault(
-            "retry backoff must be at least one window".into(),
-        ));
-    }
-    if let Some(e) = plan.events.iter().find(|e| (e.node as usize) >= nodes) {
-        return Err(FacilityBuildError::Fault(format!(
-            "fault plan targets node {} but the cluster has {nodes}",
-            e.node
-        )));
-    }
-    if !plan
-        .events
-        .windows(2)
-        .all(|p| (p[0].window, p[0].node) <= (p[1].window, p[1].node))
-    {
-        return Err(FacilityBuildError::Fault(
-            "fault plan must be sorted by (window, node)".into(),
-        ));
-    }
-    Ok(())
-}
-
 /// Derives rack `rack`'s traffic stream from the facility-wide base:
 /// distinct seed, rotated diurnal phase, an equal task share.
 fn rack_traffic(base: &TrafficParams, rack: usize, racks: usize) -> TrafficParams {
@@ -827,13 +789,13 @@ fn rack_traffic(base: &TrafficParams, rack: usize, racks: usize) -> TrafficParam
 /// loop on a worker pool.
 #[derive(Debug)]
 pub struct Facility {
-    specs: Vec<RackSpec>,
-    row: Option<RowParams>,
-    policy: FacilityPolicy,
-    facility_cap_w: f64,
-    epoch_windows: u64,
-    event_driven: bool,
-    route_requeues: bool,
+    pub(crate) specs: Vec<RackSpec>,
+    pub(crate) row: Option<RowParams>,
+    pub(crate) policy: FacilityPolicy,
+    pub(crate) facility_cap_w: f64,
+    pub(crate) epoch_windows: u64,
+    pub(crate) event_driven: bool,
+    pub(crate) route_requeues: bool,
 }
 
 impl Facility {
@@ -856,240 +818,95 @@ impl Facility {
         &self.specs[rack]
     }
 
-    /// Runs the facility to completion on `threads` persistent workers
-    /// (clamped to the rack count) and reports. The report is
-    /// byte-identical at any thread count: racks interact only through
-    /// the single-threaded settlement barrier, which consumes telemetry
-    /// in rack index order.
+    /// Runs the facility to completion on `threads` workers (clamped to
+    /// the rack count) and reports. Rack *r* lives on worker
+    /// `r % workers`; worker 0 is the calling thread, and each further
+    /// worker is a scoped thread with its own input and telemetry
+    /// channel, so a 1-worker run spawns no thread and opens no
+    /// channel. The report is byte-identical at any worker count: racks
+    /// interact only through the settlement barrier, which settles on
+    /// the calling thread in rack index order.
     ///
     /// # Panics
     ///
-    /// Panics on zero threads, or if a worker thread panics (a rack
-    /// config error or a poisoned channel) — the worker's own message
-    /// is forwarded and re-raised rather than deadlocking the
-    /// settlement barrier on the dead worker's racks.
+    /// Panics on zero threads, or when a rack panics mid-run (a rack
+    /// config error, or a cap input for a rack without a supply). A
+    /// worker thread's panic ends its channels, which stops the epoch
+    /// loop, and is re-raised from its `join` with its own payload.
     pub fn run(&self, threads: usize) -> FacilityReport {
         assert!(threads >= 1, "the facility needs at least one worker");
-        let n = self.specs.len();
-        let workers = threads.min(n);
-        let nameplate: Vec<f64> = self
-            .specs
-            .iter()
-            .map(|s| s.supply.map_or(f64::INFINITY, |p| p.cap_w))
-            .collect();
-        let base_inlet: Vec<f64> = self.specs.iter().map(|s| s.thermal.ambient_c).collect();
-        // Racks whose fault plan runs degradation-aware report their
-        // quarantine losses to the feed tier: the settlement sees a
-        // dead node's share of the rack nameplate as gone and re-deals
-        // it. Oblivious racks keep claiming their full nameplate.
-        let fault_aware: Vec<bool> = self
-            .specs
-            .iter()
-            .map(|s| {
-                s.fault
-                    .as_ref()
-                    .is_some_and(|p| p.response == FaultResponse::Aware)
-            })
-            .collect();
-        // The feed tier mirrors the supply tier's decommissioning rule
-        // (the last commissioned node always keeps the full feed): even
-        // a fully-quarantined rack is never ceded below one node's
-        // share, so the settlement can never provision a rack's busbar
-        // to the zero watts `RackSupply::set_cap_w` rejects.
-        let min_alive: Vec<f64> = self
-            .specs
-            .iter()
-            .map(|s| 1.0 / s.thermal.floorplan.core_count() as f64)
-            .collect();
-
+        let workers = threads.min(self.specs.len());
         thread::scope(|scope| {
-            let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
-            let mut commands = Vec::with_capacity(workers);
-            for w in 0..workers {
-                let (cmd_tx, cmd_rx) = mpsc::channel::<Command>();
-                commands.push(cmd_tx);
-                let owned: Vec<(usize, RackSpec)> = (0..n)
-                    .filter(|r| r % workers == w)
-                    .map(|r| (r, self.specs[r].clone()))
-                    .collect();
-                let tx = reply_tx.clone();
-                let panic_tx = reply_tx.clone();
-                let event_driven = self.event_driven;
-                let route_requeues = self.route_requeues;
-                scope.spawn(move || {
-                    // Forward a worker panic through the reply channel
-                    // before re-raising it: with several workers, the
-                    // survivors keep the channel open, so without this
-                    // the settlement barrier would wait on the dead
-                    // worker's racks forever instead of failing.
-                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        shard::worker(owned, event_driven, route_requeues, cmd_rx, tx)
-                    }));
-                    if let Err(payload) = result {
-                        let msg = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string panic payload".into());
-                        let _ = panic_tx.send(Reply::Panic(msg));
-                        std::panic::resume_unwind(payload);
-                    }
-                });
-            }
-            drop(reply_tx);
-
-            let mut last_inlet = base_inlet.clone();
-            let mut last_cap = nameplate.clone();
-            let mut heat = vec![0.0f64; n];
-            let mut demand = vec![0usize; n];
-            let mut alive = vec![1.0f64; n];
-            let mut terminal = vec![false; n];
-            let mut epochs = 0u64;
-            let mut peak_inlet_c = base_inlet.iter().copied().fold(f64::MIN, f64::max);
-            // Requeue routing state: tasks drained at the last barrier
-            // (slotted by origin rack so the routing order is worker-
-            // count independent) and their placements, injected at the
-            // next epoch's start.
-            let rack_nodes: Vec<f64> = self
-                .specs
-                .iter()
-                .map(|s| s.thermal.floorplan.core_count() as f64)
+            let links: Vec<_> = (1..workers)
+                .map(|w| {
+                    let (input_tx, input_rx) = mpsc::channel::<Vec<RackInputs>>();
+                    let (telemetry_tx, telemetry_rx) = mpsc::channel();
+                    let worker = scope.spawn(move || {
+                        let mut shard = Shard::new(self, w, workers);
+                        for inputs in input_rx {
+                            if telemetry_tx.send(shard.advance(inputs)).is_err() {
+                                break;
+                            }
+                        }
+                        shard.finish()
+                    });
+                    (input_tx, telemetry_rx, worker)
+                })
                 .collect();
-            let mut stranded_slots: Vec<Vec<ClusterTask>> = vec![Vec::new(); n];
-            let mut pending: Vec<Vec<ClusterTask>> = vec![Vec::new(); n];
-
-            loop {
-                // Settle, in rack index order, from last epoch's
-                // telemetry: facility cap shares (dealt against each
-                // rack's *effective* nameplate — a degradation-aware
-                // rack that quarantined nodes cedes their share of the
-                // feed back to the pool)...
-                let effective: Vec<f64> = (0..n)
-                    .map(|r| {
-                        if fault_aware[r] {
-                            nameplate[r] * alive[r].max(min_alive[r])
-                        } else {
-                            nameplate[r]
-                        }
-                    })
-                    .collect();
-                let caps = self.policy.settle(self.facility_cap_w, &effective, &demand);
-                // ...and row inlets.
-                let mut inputs = vec![RackInputs::default(); n];
-                for r in 0..n {
-                    inputs[r].inject = std::mem::take(&mut pending[r]);
+            let mut local = Shard::new(self, 0, workers);
+            let mut settlement = Settlement::new(self);
+            'epochs: loop {
+                let mut dealt = vec![Vec::new(); workers];
+                for (rack, inputs) in settlement.inputs().into_iter().enumerate() {
+                    dealt[rack % workers].push(inputs);
                 }
-                if let Some(row) = self.row.filter(|r| r.recirc_k_per_w > 0.0) {
-                    let rows = n.div_ceil(row.racks_per_row);
-                    let mut row_heat = vec![0.0f64; rows];
-                    for r in 0..n {
-                        row_heat[r / row.racks_per_row] += heat[r];
-                    }
-                    for r in 0..n {
-                        let excess =
-                            (row_heat[r / row.racks_per_row] - row.crac_capacity_w).max(0.0);
-                        let inlet =
-                            (base_inlet[r] + row.recirc_k_per_w * excess).min(row.max_inlet_c);
-                        if inlet.to_bits() != last_inlet[r].to_bits() {
-                            inputs[r].inlet_c = Some(inlet);
-                            last_inlet[r] = inlet;
-                            peak_inlet_c = peak_inlet_c.max(inlet);
-                        }
+                let mut dealt = dealt.into_iter();
+                let own = dealt.next().expect("worker 0 is the calling thread");
+                for ((input_tx, ..), inputs) in links.iter().zip(dealt) {
+                    if input_tx.send(inputs).is_err() {
+                        break 'epochs;
                     }
                 }
-                if let Some(caps) = caps {
-                    for r in 0..n {
-                        if caps[r].to_bits() != last_cap[r].to_bits() {
-                            inputs[r].cap_w = Some(caps[r]);
-                            last_cap[r] = caps[r];
-                        }
+                let mut replies = vec![local.advance(own)];
+                for (_, telemetry_rx, _) in &links {
+                    let Ok(telemetry) = telemetry_rx.recv() else {
+                        break 'epochs;
+                    };
+                    replies.push(telemetry);
+                }
+                for (w, telemetry) in replies.into_iter().enumerate() {
+                    for (slot, t) in telemetry.into_iter().enumerate() {
+                        settlement.record(w + slot * workers, t);
                     }
                 }
-
-                let mut inputs: Vec<Option<RackInputs>> = inputs.into_iter().map(Some).collect();
-                for (w, cmd) in commands.iter().enumerate() {
-                    let worker_inputs: Vec<RackInputs> = (0..n)
-                        .filter(|r| r % workers == w)
-                        .map(|r| inputs[r].take().expect("each rack owned by one worker"))
-                        .collect();
-                    cmd.send(Command::Advance {
-                        windows: self.epoch_windows,
-                        inputs: worker_inputs,
-                    })
-                    .expect("worker thread hung up mid-run");
-                }
-                for _ in 0..n {
-                    match reply_rx.recv().expect("worker thread hung up mid-epoch") {
-                        Reply::Epoch(rack, stats, stranded) => {
-                            heat[rack] = stats.heat_w;
-                            demand[rack] = stats.backlog + stats.sprinting;
-                            alive[rack] = stats.alive_frac;
-                            terminal[rack] = stats.terminal;
-                            stranded_slots[rack] = stranded;
-                        }
-                        Reply::Final(..) => unreachable!("Final before Finish"),
-                        Reply::Panic(msg) => panic!("facility worker panicked: {msg}"),
-                    }
-                }
-                // Re-place stranded crash-retries through facility
-                // placement: cheapest live rack first — non-terminal,
-                // then lowest load per *alive* node (a rack that
-                // quarantined half its fleet looks twice as loaded),
-                // ties to the lowest index. Origin-rack order then
-                // drain order keeps the routing deterministic at any
-                // worker count.
-                for slot in stranded_slots.iter_mut().take(n) {
-                    for task in std::mem::take(slot) {
-                        let dest = (0..n)
-                            .min_by(|&a, &b| {
-                                let load = |d: usize| {
-                                    // A rack with no alive nodes can
-                                    // serve nothing, whatever its
-                                    // (empty) backlog says: rank it
-                                    // behind every live rack.
-                                    let alive_nodes = alive[d] * rack_nodes[d];
-                                    if alive_nodes < 0.5 {
-                                        f64::INFINITY
-                                    } else {
-                                        (demand[d] + pending[d].len()) as f64 / alive_nodes
-                                    }
-                                };
-                                u8::from(terminal[a])
-                                    .cmp(&u8::from(terminal[b]))
-                                    .then(load(a).total_cmp(&load(b)))
-                                    .then(a.cmp(&b))
-                            })
-                            .expect("a facility has at least one rack");
-                        pending[dest].push(task);
-                    }
-                }
-                epochs += 1;
-                if terminal.iter().all(|&t| t) && pending.iter().all(|p| p.is_empty()) {
+                if settlement.close_epoch() {
                     break;
                 }
             }
-
-            for cmd in &commands {
-                cmd.send(Command::Finish).expect("worker thread hung up");
+            // Dropping the input channels ends every worker's loop; a
+            // worker that died mid-run re-raises its panic here.
+            let handles: Vec<_> = links.into_iter().map(|(.., worker)| worker).collect();
+            let mut finals = vec![local.finish().into_iter()];
+            for worker in handles {
+                let reports = worker.join().unwrap_or_else(|p| panic::resume_unwind(p));
+                finals.push(reports.into_iter());
             }
-            let mut finals: Vec<Option<(Box<ClusterReport>, ClusterOutcome)>> =
-                (0..n).map(|_| None).collect();
-            for _ in 0..n {
-                match reply_rx.recv().expect("worker thread hung up at finish") {
-                    Reply::Final(rack, report, outcome) => finals[rack] = Some((report, outcome)),
-                    Reply::Epoch(..) => unreachable!("Epoch after Finish"),
-                    Reply::Panic(msg) => panic!("facility worker panicked: {msg}"),
-                }
-            }
-
-            let mut rack_reports = Vec::with_capacity(n);
             let mut all_drained = true;
-            for slot in finals {
-                let (report, outcome) = slot.expect("every rack reports exactly once");
-                all_drained &= outcome == ClusterOutcome::Drained;
-                rack_reports.push(*report);
-            }
-            self.summarise(rack_reports, epochs, peak_inlet_c, all_drained)
+            let rack_reports = (0..self.specs.len())
+                .map(|rack| {
+                    let (report, outcome) = finals[rack % workers]
+                        .next()
+                        .expect("every rack reports exactly once");
+                    all_drained &= outcome == ClusterOutcome::Drained;
+                    report
+                })
+                .collect();
+            self.summarise(
+                rack_reports,
+                settlement.epochs,
+                settlement.peak_inlet_c,
+                all_drained,
+            )
         })
     }
 
@@ -1239,6 +1056,41 @@ mod tests {
         assert_eq!(report.p95_latency_s, 94.0);
         assert_eq!(report.max_latency_s, 99.0);
         assert_eq!(report.mean_latency_s, (4950.0 + 0.5) / 100.0);
+    }
+
+    /// A rack that panics mid-run fails the run with its own message at
+    /// any worker count, without hanging the barrier on the dead rack:
+    /// rack 1 panics on the calling thread at 1 worker and on a worker
+    /// thread at 2 and 8; rack 0 always panics on the calling thread,
+    /// with live worker threads still waiting at 2 and 8.
+    #[test]
+    fn a_rack_panic_surfaces_with_its_message_at_any_worker_count() {
+        for broken in [1, 0] {
+            let mut facility = FacilityBuilder::new(4)
+                .rack_thermal(GridThermalParams::rack(2, 1))
+                .rack_supply(RackSupplyParams::rack(2))
+                .facility_policy(FacilityPolicy::GlobalRationed {
+                    floor_w: 5.0,
+                    slot_w: 5.0,
+                })
+                .facility_cap_w(40.0)
+                .build();
+            // No supply for the rack's first dealt cap to move.
+            facility.specs[broken].supply = None;
+            for threads in [1, 2, 8] {
+                let payload = std::panic::catch_unwind(|| facility.run(threads))
+                    .expect_err("the broken rack cannot take a cap");
+                let msg = payload
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| payload.downcast_ref::<&str>().copied())
+                    .unwrap_or_default();
+                assert!(
+                    msg.contains("facility cap settlement requires a rack supply"),
+                    "rack {broken}, {threads} workers: {msg:?}"
+                );
+            }
+        }
     }
 
     /// A facility whose racks completed nothing has NaN latency

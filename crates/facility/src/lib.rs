@@ -43,21 +43,32 @@
 //!
 //! # The settlement barrier (and determinism)
 //!
-//! Rack advancement is sharded across worker threads (plain
+//! Rack advancement is sharded across workers (plain
 //! `std::thread::scope`, no dependencies): rack *r* lives on worker
-//! `r % threads`, which owns its non-`Send` session for the whole run.
-//! Each epoch the main thread broadcasts per-rack inputs (inlet, cap),
-//! workers step their racks `epoch_windows` windows and reply with
-//! plain-data telemetry, and the main thread *settles*: it recomputes
-//! row inlets and facility cap shares from the telemetry **in rack
-//! index order** before the next epoch begins. Because racks share no
-//! mutable state inside an epoch and every cross-rack term is computed
-//! single-threaded at the barrier from index-ordered inputs, the same
-//! seed and rack count produce a byte-identical [`FacilityReport`] at
-//! *any* worker count — pinned by this crate's determinism tests. A
-//! one-rack facility with coupling left at defaults reproduces a
-//! standalone [`ClusterSession`](sprint_cluster::ClusterSession) run
-//! byte for byte: the facility layer's observer effect is zero.
+//! `r % workers`, which builds its non-`Send` session and owns it for
+//! the whole run. The thread that calls [`Facility::run`] is worker 0;
+//! each further worker is a scoped thread behind its own input and
+//! telemetry channel, so a 1-worker run is the same loop with no thread
+//! and no channel. Each epoch the calling thread asks the crate's
+//! `Settlement` state machine for per-rack inputs (inlet, cap, routed
+//! tasks), every worker steps its racks `epoch_windows` windows and
+//! returns plain-data telemetry, and the settlement records it and
+//! decides — row inlets, facility cap shares and requeue routing, all
+//! computed **in rack index order** before the next epoch begins.
+//! Because racks share no mutable state inside an epoch and every
+//! cross-rack term is computed single-threaded from index-ordered
+//! telemetry, the same seed and rack count produce a byte-identical
+//! [`FacilityReport`] at *any* worker count — pinned by this crate's
+//! determinism tests. A one-rack facility with coupling left at
+//! defaults reproduces a standalone
+//! [`ClusterSession`](sprint_cluster::ClusterSession) run byte for
+//! byte: the facility layer's observer effect is zero.
+//!
+//! A rack that panics mid-run ends the run with its own panic: on the
+//! calling thread it unwinds directly; on a worker thread it closes
+//! that worker's channels, the epoch loop stops, and `run` re-raises
+//! the payload from the worker's `join` instead of waiting on racks
+//! that will never report.
 //!
 //! # Heterogeneous racks
 //!
@@ -133,19 +144,18 @@
 
 pub mod facility;
 pub mod policy;
+mod settlement;
 mod shard;
 
 pub use facility::{
-    cluster_report_digest, Facility, FacilityBuildError, FacilityBuilder, FacilityReport, RackSpec,
-    RowParams,
+    Facility, FacilityBuildError, FacilityBuilder, FacilityReport, RackSpec, RowParams,
 };
 pub use policy::FacilityPolicy;
 
 /// Commonly-used items in one import.
 pub mod prelude {
     pub use crate::facility::{
-        cluster_report_digest, Facility, FacilityBuildError, FacilityBuilder, FacilityReport,
-        RackSpec, RowParams,
+        Facility, FacilityBuildError, FacilityBuilder, FacilityReport, RackSpec, RowParams,
     };
     pub use crate::policy::FacilityPolicy;
 }

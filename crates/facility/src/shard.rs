@@ -1,32 +1,30 @@
-//! Worker-thread sharding for rack advancement.
+//! Rack advancement for one worker.
 //!
 //! A [`ClusterSession`] holds `Rc<RefCell<...>>` shared rack state and
-//! is not `Send`, so sessions cannot migrate between threads. Instead,
-//! each worker thread *builds* its racks from plain-data [`RackSpec`]s
-//! and owns them for the whole run; the main thread drives epochs over
-//! `mpsc` channels carrying only plain data (inputs in, telemetry out).
-//! Workers step their racks in ascending rack index, but rack order
-//! inside an epoch is immaterial: racks share no mutable state between
-//! settlement barriers, which is what makes the report independent of
-//! the worker count.
-
-use std::sync::mpsc::{Receiver, Sender};
+//! is not `Send`, so sessions cannot migrate between threads. Instead a
+//! [`Shard`] *builds* its racks from the facility's [`RackSpec`]s on the
+//! thread that steps them and owns them for the whole run, exchanging
+//! only plain data with the settlement barrier: [`RackInputs`] in,
+//! [`RackTelemetry`] out. A shard steps its racks in ascending rack
+//! index, but rack order inside an epoch is immaterial: racks share no
+//! mutable state between settlement barriers, which is what makes the
+//! report independent of the worker count.
 
 use sprint_cluster::{
     ClusterOutcome, ClusterReport, ClusterSession, ClusterTask, EventDrivenCluster,
 };
 
-use crate::facility::RackSpec;
+use crate::facility::{Facility, RackSpec};
 
-/// One rack's stepping core: the lockstep oracle, or the event-driven
-/// core that skips idle nodes between their thermally-relevant ticks.
-/// Both expose the identical window-granular protocol the settlement
-/// barrier needs, and by the cluster crate's golden-equivalence
-/// invariant they produce byte-identical reports — so the facility
-/// digest is independent of which driver ran, not just of the worker
-/// count.
-pub(crate) enum RackDriver {
-    /// The lockstep [`ClusterSession`] stepper (the oracle).
+/// One rack's stepping core: the event-driven core that skips idle
+/// nodes between their thermally-relevant ticks, or the lockstep
+/// reference stepper. Both expose the identical window-granular
+/// protocol the settlement barrier needs, and by the cluster crate's
+/// golden-equivalence invariant they produce byte-identical reports —
+/// so the facility digest is independent of which driver ran, not just
+/// of the worker count.
+enum RackDriver {
+    /// The lockstep [`ClusterSession`] stepper (the reference).
     Lockstep(ClusterSession),
     /// The event-heap core over the same session.
     Event(EventDrivenCluster),
@@ -77,13 +75,9 @@ impl RackDriver {
     /// entry (the event core also arms the wake-up tick).
     fn inject(&mut self, task: ClusterTask) {
         match self {
-            RackDriver::Lockstep(s) => {
-                s.inject_task(task);
-            }
-            RackDriver::Event(e) => {
-                e.inject_task(task);
-            }
-        }
+            RackDriver::Lockstep(s) => s.inject_task(task),
+            RackDriver::Event(e) => e.inject_task(task),
+        };
     }
 }
 
@@ -104,123 +98,104 @@ pub(crate) struct RackInputs {
 }
 
 /// Plain-data telemetry one rack reports at the settlement barrier.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RackEpochStats {
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RackTelemetry {
     /// Heat the rack currently injects into its grid, watts.
     pub heat_w: f64,
-    /// Tasks arrived but not yet placed on a node.
-    pub backlog: usize,
-    /// Nodes currently holding a sprint grant.
-    pub sprinting: usize,
+    /// The rack's demand weight for the feed tier: tasks arrived but
+    /// not yet placed on a node, plus nodes holding a sprint grant.
+    pub demand: usize,
     /// Fraction of the rack's nodes not quarantined by crashes (1.0
     /// for a healthy rack).
     pub alive_frac: f64,
     /// Whether the rack can make no further progress.
     pub terminal: bool,
-}
-
-/// Main-to-worker commands.
-pub(crate) enum Command {
-    /// Advance every owned rack by up to `windows` sampling windows,
-    /// applying each rack's inputs first. `inputs[i]` pairs with the
-    /// worker's i-th owned rack (ascending rack index).
-    Advance {
-        /// Windows to step this epoch.
-        windows: u64,
-        /// Per-owned-rack boundary inputs.
-        inputs: Vec<RackInputs>,
-    },
-    /// Tear down: reply with every owned rack's final report.
-    Finish,
-}
-
-/// Worker-to-main replies, tagged with the global rack index.
-pub(crate) enum Reply {
-    /// End-of-epoch telemetry for one rack, plus any stranded
-    /// crash-retries drained off it for cross-rack re-placement
+    /// Crash-retries drained off the rack for cross-rack re-placement
     /// (always empty unless the facility routes requeues).
-    Epoch(usize, RackEpochStats, Vec<ClusterTask>),
-    /// Final per-rack report and outcome after `Finish`.
-    Final(usize, Box<ClusterReport>, ClusterOutcome),
-    /// A worker died mid-run: its panic message, re-raised by the
-    /// driver. Without this a surviving worker's open channel would
-    /// park the settlement barrier's `recv` forever — the run must
-    /// fail with the worker's diagnostic, not hang.
-    Panic(String),
+    pub stranded: Vec<ClusterTask>,
 }
 
-/// The worker loop: builds the owned racks (on the driver the facility
-/// selected), then serves epochs until `Finish` (or the command channel
-/// closes).
-pub(crate) fn worker(
-    specs: Vec<(usize, RackSpec)>,
-    event_driven: bool,
+/// The racks one worker owns: rack `worker`, `worker + workers`, … on
+/// the driver the facility selected, each with its latest outcome.
+pub(crate) struct Shard {
+    racks: Vec<(RackDriver, ClusterOutcome)>,
+    windows: u64,
     route_requeues: bool,
-    rx: Receiver<Command>,
-    tx: Sender<Reply>,
-) {
-    let mut racks: Vec<(usize, RackDriver, ClusterOutcome)> = specs
-        .into_iter()
-        .map(|(rack, spec)| {
-            (
-                rack,
-                RackDriver::build(&spec, event_driven),
-                ClusterOutcome::Running,
-            )
-        })
-        .collect();
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            Command::Advance { windows, inputs } => {
-                for ((rack, driver, outcome), input) in racks.iter_mut().zip(inputs) {
-                    if let Some(inlet_c) = input.inlet_c {
-                        driver.session().rack().set_inlet_c(inlet_c);
-                    }
-                    if let Some(cap_w) = input.cap_w {
-                        driver
-                            .session()
-                            .supply()
-                            .expect("facility cap settlement requires a rack supply")
-                            .set_cap_w(cap_w);
-                    }
-                    for task in input.inject {
-                        driver.inject(task);
-                    }
-                    for _ in 0..windows {
-                        *outcome = driver.step();
-                        if outcome.is_terminal() {
-                            break;
-                        }
-                    }
-                    // Requeue routing drains *after* the epoch's
-                    // windows: anything still waiting out a crash-retry
-                    // backoff at the barrier is re-placed by the
-                    // settlement instead of retrying in place. Free
-                    // (and empty) when nothing is stranded.
-                    let stranded = if route_requeues {
-                        driver.drain_stranded()
-                    } else {
-                        Vec::new()
-                    };
-                    let session = driver.session();
-                    let stats = RackEpochStats {
-                        heat_w: session.rack_heat_w(),
-                        backlog: session.ready_backlog(),
-                        sprinting: session.sprinting_count(),
-                        alive_frac: session.alive_fraction(),
-                        terminal: outcome.is_terminal(),
-                    };
-                    if tx.send(Reply::Epoch(*rack, stats, stranded)).is_err() {
-                        return;
-                    }
-                }
-            }
-            Command::Finish => {
-                for (rack, driver, outcome) in racks.iter_mut() {
-                    let _ = tx.send(Reply::Final(*rack, Box::new(driver.report()), *outcome));
-                }
-                return;
-            }
+}
+
+impl Shard {
+    /// Builds worker `worker`'s racks on the calling thread.
+    pub(crate) fn new(facility: &Facility, worker: usize, workers: usize) -> Self {
+        Self {
+            racks: facility
+                .specs
+                .iter()
+                .skip(worker)
+                .step_by(workers)
+                .map(|spec| {
+                    let driver = RackDriver::build(spec, facility.event_driven);
+                    (driver, ClusterOutcome::Running)
+                })
+                .collect(),
+            windows: facility.epoch_windows,
+            route_requeues: facility.route_requeues,
         }
+    }
+
+    /// Applies each owned rack's inputs (ascending rack index), steps
+    /// it up to one epoch, and returns its telemetry in the same order.
+    pub(crate) fn advance(&mut self, inputs: Vec<RackInputs>) -> Vec<RackTelemetry> {
+        self.racks
+            .iter_mut()
+            .zip(inputs)
+            .map(|((driver, outcome), input)| {
+                if let Some(inlet_c) = input.inlet_c {
+                    driver.session().rack().set_inlet_c(inlet_c);
+                }
+                if let Some(cap_w) = input.cap_w {
+                    driver
+                        .session()
+                        .supply()
+                        .expect("facility cap settlement requires a rack supply")
+                        .set_cap_w(cap_w);
+                }
+                for task in input.inject {
+                    driver.inject(task);
+                }
+                for _ in 0..self.windows {
+                    *outcome = driver.step();
+                    if outcome.is_terminal() {
+                        break;
+                    }
+                }
+                // Requeue routing drains *after* the epoch's windows:
+                // anything still waiting out a crash-retry backoff at
+                // the barrier is re-placed by the settlement instead of
+                // retrying in place. Free (and empty) when nothing is
+                // stranded.
+                let stranded = if self.route_requeues {
+                    driver.drain_stranded()
+                } else {
+                    Vec::new()
+                };
+                let session = driver.session();
+                RackTelemetry {
+                    heat_w: session.rack_heat_w(),
+                    demand: session.ready_backlog() + session.sprinting_count(),
+                    alive_frac: session.alive_fraction(),
+                    terminal: outcome.is_terminal(),
+                    stranded,
+                }
+            })
+            .collect()
+    }
+
+    /// Every owned rack's final report and outcome, ascending rack
+    /// index.
+    pub(crate) fn finish(self) -> Vec<(ClusterReport, ClusterOutcome)> {
+        self.racks
+            .into_iter()
+            .map(|(mut driver, outcome)| (driver.report(), outcome))
+            .collect()
     }
 }

@@ -45,8 +45,8 @@ fn one_rack_facility_reproduces_standalone_cluster() {
     );
     // ...then everything at once: scalars, outcomes, node reports.
     assert_eq!(
-        cluster_report_digest(rack),
-        cluster_report_digest(&expected),
+        rack.digest(),
+        expected.digest(),
         "a one-rack facility must be bit-for-bit a standalone cluster"
     );
 
@@ -82,8 +82,8 @@ fn epoch_length_and_thread_clamp_do_not_perturb_one_rack() {
     let short = build(7).run(4);
     let long = build(512).run(1);
     assert_eq!(
-        cluster_report_digest(&short.rack_reports[0]),
-        cluster_report_digest(&long.rack_reports[0]),
+        short.rack_reports[0].digest(),
+        long.rack_reports[0].digest(),
         "epoch chunking must not change the step sequence"
     );
     assert!(short.epochs > long.epochs, "sanity: epochs actually differ");

@@ -5,9 +5,9 @@
 //! after retries, or outstanding at the time limit, on the cluster
 //! *and* the facility merge path.
 
-use sprint_cluster::{ClusterPolicy, PowerPolicy, RackSupplyParams};
+use sprint_cluster::{ClusterBuildError, ClusterPolicy, PowerPolicy, RackSupplyParams};
 use sprint_core::config::SprintConfig;
-use sprint_core::fault::{FaultRates, FaultResponse};
+use sprint_core::fault::{FaultEvent, FaultKind, FaultPlan, FaultRates, FaultResponse};
 use sprint_facility::prelude::*;
 use sprint_thermal::grid::GridThermalParams;
 use sprint_workloads::traffic::TrafficParams;
@@ -207,4 +207,28 @@ fn facility_build_errors_are_typed_and_display_cleanly() {
         "policy diagnostics must survive the typed path: {err}"
     );
     assert!(std::error::Error::source(&err).is_none());
+
+    // Every rack's fault plan is vetted, not only rack 0's.
+    let err = FacilityBuilder::new(2)
+        .fault_on(
+            1,
+            FaultPlan::new(vec![FaultEvent {
+                window: 0,
+                node: 99,
+                kind: FaultKind::NodeCrash,
+            }]),
+        )
+        .try_build()
+        .unwrap_err();
+    assert_eq!(
+        err,
+        FacilityBuildError::Rack(ClusterBuildError::FaultNodeOutOfRange {
+            node: 99,
+            nodes: 16
+        })
+    );
+    assert_eq!(
+        err.to_string(),
+        "fault plan targets node 99 but the cluster has 16"
+    );
 }
