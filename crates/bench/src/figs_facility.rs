@@ -26,7 +26,7 @@
 //! thermal/electrical headroom beats per-unit worst-case provisioning.
 //!
 //! Racks are stepped by the event-driven core by default (idle nodes
-//! cost event-heap ticks, not lockstep windows); `repro facility
+//! sleep instead of resting every window); `repro facility
 //! --oracle` re-runs every sweep point on the lockstep golden oracle
 //! and asserts the two report digests are byte-identical — the
 //! cluster-level equivalence contract, re-proved at study scale.

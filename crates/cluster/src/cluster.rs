@@ -42,8 +42,8 @@ use sprint_archsim::machine::Machine;
 use sprint_core::config::{ExecutionMode, SprintConfig, SupplyPolicy};
 use sprint_core::controller::{ControllerEvent, SprintState};
 use sprint_core::fault::{
-    FaultKind, FaultPlan, FaultResponse, FaultSensor, FaultState, FaultSupply, SensorFault,
-    SupplyFault,
+    FaultEvent, FaultKind, FaultPlan, FaultResponse, FaultSensor, FaultState, FaultSupply,
+    SensorFault, SupplyFault,
 };
 use sprint_core::session::{RunReport, SprintSession, StepOutcome};
 use sprint_core::supply::{IdealSupply, PowerSupply};
@@ -205,6 +205,22 @@ pub(crate) struct Node {
     /// Whether the current task was admitted to sprint (sticky for the
     /// task's outcome even if the shed pass later preempts the node).
     pub(crate) sprinted: bool,
+}
+
+/// Where a submitted task stands on this rack. The three end states
+/// are mutually exclusive and final.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TaskStatus {
+    /// Not yet arrived, queued, waiting out a retry backoff, or
+    /// running.
+    Open,
+    /// Completed by its first finishing copy.
+    Done,
+    /// Exhausted its crash-retry budget.
+    Failed,
+    /// Handed off to a facility requeue router — resolved elsewhere,
+    /// terminal for this rack.
+    Migrated,
 }
 
 /// Summary of a cluster run. Callable mid-run; an unfinished run simply
@@ -858,11 +874,9 @@ impl ClusterBuilder {
             windows: 0,
             max_windows: (self.max_time_s / window_s).ceil() as u64,
             outcomes: Vec::new(),
-            task_done: vec![false; task_count],
+            task_status: vec![TaskStatus::Open; task_count],
             task_copies: vec![0; task_count],
             task_sprinted: vec![false; task_count],
-            task_failed: vec![false; task_count],
-            task_migrated: vec![false; task_count],
             task_retries: vec![0; task_count],
             events: Vec::new(),
             grant_order: Vec::new(),
@@ -876,9 +890,6 @@ impl ClusterBuilder {
             requeue: Vec::new(),
             next_requeue: 0,
             requeue_seq: 0,
-            crashed_scratch: Vec::new(),
-            cancelled_scratch: Vec::new(),
-            cancelled_after_run: Vec::new(),
             duplicates_cancelled: 0,
             fault_events_applied: 0,
             sensor_fault_count: 0,
@@ -894,17 +905,17 @@ impl ClusterBuilder {
 /// Many sprint sessions, one shared rack, one admission scheduler. See
 /// the module docs for the per-window protocol.
 pub struct ClusterSession {
-    pub(crate) rack: RackThermal,
+    rack: RackThermal,
     /// The shared electrical pool, when the cluster runs on one.
-    pub(crate) supply: Option<RackSupply>,
-    pub(crate) power: PowerPolicy,
+    supply: Option<RackSupply>,
+    power: PowerPolicy,
     pub(crate) nodes: Vec<Node>,
-    pub(crate) tasks: Vec<ClusterTask>,
+    tasks: Vec<ClusterTask>,
     /// Task indices sorted by (arrival, index).
-    pub(crate) arrival_order: Vec<usize>,
-    pub(crate) next_arrival: usize,
+    arrival_order: Vec<usize>,
+    next_arrival: usize,
     pub(crate) ready: VecDeque<usize>,
-    pub(crate) policy: ClusterPolicy,
+    policy: ClusterPolicy,
     placement: Placement,
     sprint_config: SprintConfig,
     sustained_config: SprintConfig,
@@ -912,27 +923,22 @@ pub struct ClusterSession {
     pub(crate) windows: u64,
     pub(crate) max_windows: u64,
     outcomes: Vec<TaskOutcome>,
-    task_done: Vec<bool>,
+    task_status: Vec<TaskStatus>,
     task_copies: Vec<usize>,
     /// Whether any copy of the task was admitted to sprint.
     task_sprinted: Vec<bool>,
-    /// Tasks that exhausted their crash-retry budget.
-    task_failed: Vec<bool>,
-    /// Tasks handed off to a facility requeue router — resolved
-    /// elsewhere, terminal for this rack.
-    task_migrated: Vec<bool>,
     /// Crash-retry attempts consumed per task.
     task_retries: Vec<u32>,
     events: Vec<ClusterEvent>,
     /// Sprinting nodes, oldest admission first (round-robin shed order).
     pub(crate) grant_order: Vec<usize>,
-    pub(crate) peak_junction_c: f64,
+    peak_junction_c: f64,
     /// Per-window node temperatures (reused; no per-step allocation).
-    pub(crate) temps_buf: Vec<f64>,
+    temps_buf: Vec<f64>,
     /// The installed fault plan, if any (window-stamped, sorted).
-    pub(crate) fault_plan: Option<FaultPlan>,
+    fault_plan: Option<FaultPlan>,
     /// Cursor into the plan's event list.
-    pub(crate) next_fault: usize,
+    next_fault: usize,
     /// Per-node fault state, shared with each node's wrapped thermal
     /// and supply ports.
     fault_states: Vec<Rc<FaultState>>,
@@ -943,23 +949,9 @@ pub struct ClusterSession {
     node_quarantined: Vec<bool>,
     /// Crash-retry queue: `(due window, insertion seq, task)`, sorted;
     /// `next_requeue` is the drain cursor (mirroring `next_arrival`).
-    pub(crate) requeue: Vec<(u64, u64, usize)>,
-    pub(crate) next_requeue: usize,
+    requeue: Vec<(u64, u64, usize)>,
+    next_requeue: usize,
     requeue_seq: u64,
-    /// Nodes that crashed *while busy* this window — the event core
-    /// must execute their first rest at the crash window itself (it
-    /// zeroes their core power before the next settlement).
-    pub(crate) crashed_scratch: Vec<u32>,
-    /// Losing duplicate copies cancelled this window on nodes *after*
-    /// the winner in index order: their rest still executes this
-    /// window (the lockstep loop reaches them with `task == None`),
-    /// and the event core must do the same.
-    pub(crate) cancelled_scratch: Vec<u32>,
-    /// Losing duplicate copies cancelled this window on nodes *before*
-    /// the winner: they already ran their window while still busy, so
-    /// their first rest lands next window — the event core schedules
-    /// them a retirement tick and drops them from its busy list.
-    pub(crate) cancelled_after_run: Vec<u32>,
     /// Losing replicas preempted through the machine-level cancel API
     /// the window their task's winner committed.
     duplicates_cancelled: usize,
@@ -1051,11 +1043,7 @@ impl ClusterSession {
     /// drained the moment every task has a winner (a loser may still
     /// be mid-run on its node when stepping stops).
     pub fn drained(&self) -> bool {
-        self.task_done
-            .iter()
-            .zip(&self.task_failed)
-            .zip(&self.task_migrated)
-            .all(|((&done, &failed), &migrated)| done || failed || migrated)
+        self.task_status.iter().all(|&s| s != TaskStatus::Open)
     }
 
     /// Tasks that have arrived but not yet been assigned to a node —
@@ -1090,22 +1078,11 @@ impl ClusterSession {
         if self.windows >= self.max_windows {
             return ClusterOutcome::TimeLimit;
         }
-        // The cancellation scratches are per-window: populated by
-        // `complete` during the node phase, consumed by the event core
-        // through the end of its step — so both engines clear them at
-        // the top of the *next* window (the event core cannot rely on
-        // `apply_faults`, which it only runs on fault ticks).
-        self.cancelled_scratch.clear();
-        self.cancelled_after_run.clear();
         // 0. Faults stamped for this window fire before anything reads
         // a sensor or places work.
         self.apply_faults();
         let now = self.now_s();
-        // Refresh the per-node temperature snapshot once per window
-        // (the slice-based accessor keeps this allocation-free), then
-        // overlay what faulted sensors actually report.
-        self.rack.node_temps_c_into(&mut self.temps_buf);
-        self.mask_faulted_temps();
+        self.sense_temps();
         // 1. Arrivals, then crash-retry requeues whose backoff expired.
         self.pop_arrivals(now);
         self.pop_requeues();
@@ -1119,11 +1096,7 @@ impl ClusterSession {
         for i in 0..self.nodes.len() {
             self.run_node_window(i);
         }
-        self.windows += 1;
-        let junction = self.rack.junction_temp_c();
-        if junction > self.peak_junction_c {
-            self.peak_junction_c = junction;
-        }
+        self.close_window();
         if self.drained() {
             ClusterOutcome::Drained
         } else {
@@ -1131,29 +1104,67 @@ impl ClusterSession {
         }
     }
 
-    /// Moves every task whose arrival time has come (`arrival_s <= now`)
-    /// from the arrival order into the ready queue.
+    /// Refreshes the per-node temperature snapshot the scheduler
+    /// passes read (the slice-based accessor keeps this
+    /// allocation-free), then overlays what faulted sensors actually
+    /// report.
+    pub(crate) fn sense_temps(&mut self) {
+        self.rack.node_temps_c_into(&mut self.temps_buf);
+        self.mask_faulted_temps();
+    }
+
+    /// Ends the current window: advances the clock and samples the
+    /// rack's peak junction temperature.
+    pub(crate) fn close_window(&mut self) {
+        self.windows += 1;
+        let junction = self.rack.junction_temp_c();
+        if junction > self.peak_junction_c {
+            self.peak_junction_c = junction;
+        }
+    }
+
+    /// Whether the next pending task has arrived (`arrival_s <= now`).
+    pub(crate) fn arrival_due(&self, now: f64) -> bool {
+        self.arrival_order
+            .get(self.next_arrival)
+            .is_some_and(|&task| self.tasks[task].arrival_s <= now)
+    }
+
+    /// Whether the next crash-retry's backoff has expired.
+    pub(crate) fn requeue_due(&self) -> bool {
+        self.requeue
+            .get(self.next_requeue)
+            .is_some_and(|&(due, _, _)| due <= self.windows)
+    }
+
+    /// The next unapplied fault-plan event, if it is stamped for the
+    /// current window.
+    pub(crate) fn due_fault(&self) -> Option<FaultEvent> {
+        let ev = *self.fault_plan.as_ref()?.events.get(self.next_fault)?;
+        debug_assert!(
+            ev.window >= self.windows,
+            "a fault event was scheduled in the past"
+        );
+        (ev.window == self.windows).then_some(ev)
+    }
+
+    /// Moves every task whose arrival time has come from the arrival
+    /// order into the ready queue.
     pub(crate) fn pop_arrivals(&mut self, now: f64) {
-        while self.next_arrival < self.arrival_order.len() {
-            let task = self.arrival_order[self.next_arrival];
-            if self.tasks[task].arrival_s > now {
-                break;
-            }
-            self.ready.push_back(task);
+        while self.arrival_due(now) {
+            self.ready.push_back(self.arrival_order[self.next_arrival]);
             self.next_arrival += 1;
         }
     }
 
     /// Drains crash-retry requeues whose backoff window has come into
     /// the ready queue (after `pop_arrivals`, so a same-window arrival
-    /// always queues ahead of a same-window retry — in both engines).
+    /// always queues ahead of a same-window retry).
     pub(crate) fn pop_requeues(&mut self) {
-        while let Some(&(due, _seq, task)) = self.requeue.get(self.next_requeue) {
-            if due > self.windows {
-                break;
-            }
+        while self.requeue_due() {
+            let (_, _, task) = self.requeue[self.next_requeue];
             self.next_requeue += 1;
-            if !self.task_done[task] && !self.task_failed[task] && !self.task_migrated[task] {
+            if self.task_status[task] == TaskStatus::Open {
                 self.ready.push_back(task);
             }
         }
@@ -1174,8 +1185,8 @@ impl ClusterSession {
         let mut stranded = Vec::new();
         for idx in self.next_requeue..self.requeue.len() {
             let (_, _, task) = self.requeue[idx];
-            if !self.task_done[task] && !self.task_failed[task] && !self.task_migrated[task] {
-                self.task_migrated[task] = true;
+            if self.task_status[task] == TaskStatus::Open {
+                self.task_status[task] = TaskStatus::Migrated;
                 self.migrated_count += 1;
                 stranded.push(self.tasks[task]);
             }
@@ -1194,38 +1205,23 @@ impl ClusterSession {
     pub fn inject_task(&mut self, task: ClusterTask) -> usize {
         let id = self.tasks.len();
         self.tasks.push(task);
-        self.task_done.push(false);
+        self.task_status.push(TaskStatus::Open);
         self.task_copies.push(0);
         self.task_sprinted.push(false);
-        self.task_failed.push(false);
-        self.task_migrated.push(false);
         self.task_retries.push(0);
         self.ready.push_back(id);
         id
     }
 
     /// Applies every fault-plan event stamped for the current window,
-    /// in `(window, node)` order — shared verbatim between the
-    /// lockstep loop and the event-driven core (which runs it on fault
-    /// ticks). Fills [`Self::crashed_scratch`] with nodes that crashed
-    /// while busy, which the event core must execute this window.
+    /// in `(window, node)` order.
     pub(crate) fn apply_faults(&mut self) {
-        self.crashed_scratch.clear();
         let Some(plan) = self.fault_plan.as_ref() else {
             return;
         };
         let (response, max_retries, backoff) =
             (plan.response, plan.max_retries, plan.backoff_windows);
-        let w = self.windows;
-        while let Some(&ev) = self
-            .fault_plan
-            .as_ref()
-            .and_then(|p| p.events.get(self.next_fault))
-        {
-            if ev.window != w {
-                debug_assert!(ev.window > w, "a fault event was scheduled in the past");
-                break;
-            }
+        while let Some(ev) = self.due_fault() {
             self.next_fault += 1;
             self.fault_events_applied += 1;
             let node = ev.node as usize;
@@ -1273,21 +1269,11 @@ impl ClusterSession {
     fn sensor_fault_on(&mut self, node: usize, fault: SensorFault, response: FaultResponse) {
         self.sensor_fault_count += 1;
         self.fault_states[node].set_sensor(Some(fault));
-        if response == FaultResponse::Aware {
-            let n = &mut self.nodes[node];
-            if n.task.is_some()
-                && matches!(
-                    n.session.state(),
-                    SprintState::Ramping | SprintState::Sprinting
-                )
-            {
-                n.session.preempt_sprint();
-                self.failsafe_preemptions += 1;
-                // The stale grant falls out of the rotation in this
-                // window's shed pass (its retain keeps only live
-                // sprints) — which runs this window in both engines,
-                // because a fault tick forces the scheduler phase.
-            }
+        if response == FaultResponse::Aware && self.is_sprinting(node) {
+            self.nodes[node].session.preempt_sprint();
+            self.failsafe_preemptions += 1;
+            // The stale grant falls out of the rotation in this
+            // window's shed pass (its retain keeps only live sprints).
         }
     }
 
@@ -1309,13 +1295,12 @@ impl ClusterSession {
             return;
         };
         self.node_quarantined[node] = true;
-        self.crashed_scratch.push(node as u32);
         if response == FaultResponse::Aware {
             if let Some(pool) = &self.supply {
                 pool.decommission_node(node);
             }
         }
-        if self.task_done[task] || self.task_failed[task] {
+        if self.task_status[task] != TaskStatus::Open {
             return;
         }
         if self.nodes.iter().any(|n| n.task == Some(task)) {
@@ -1334,7 +1319,7 @@ impl ClusterSession {
             let pos = self.next_requeue + tail.partition_point(|&e| e <= entry);
             self.requeue.insert(pos, entry);
         } else {
-            self.task_failed[task] = true;
+            self.task_status[task] = TaskStatus::Failed;
         }
     }
 
@@ -1344,7 +1329,7 @@ impl ClusterSession {
     /// scheduling consumes whatever the broken sensor reports —
     /// including a stuck-cold value that makes a hot node look like
     /// the best sprint candidate in the rack.
-    pub(crate) fn mask_faulted_temps(&mut self) {
+    fn mask_faulted_temps(&mut self) {
         let Some(plan) = self.fault_plan.as_ref() else {
             return;
         };
@@ -1380,9 +1365,7 @@ impl ClusterSession {
     }
 
     /// Executes node `i`'s share of the current window: one session
-    /// step when busy, one rest when idle. Shared verbatim between the
-    /// lockstep loop and the event-driven core so the two paths cannot
-    /// drift — this is the `tick` of the node component.
+    /// step when busy, one rest when idle.
     pub(crate) fn run_node_window(&mut self, i: usize) {
         if self.nodes[i].task.is_some() {
             match self.nodes[i].session.step() {
@@ -1500,7 +1483,11 @@ impl ClusterSession {
             requeues: self.requeue_count,
             cancelled_copies: self.duplicates_cancelled,
             migrated_tasks: self.migrated_count,
-            failed_tasks: self.task_failed.iter().filter(|&&f| f).count(),
+            failed_tasks: self
+                .task_status
+                .iter()
+                .filter(|&&s| s == TaskStatus::Failed)
+                .count(),
             quarantined_nodes: self.node_quarantined.iter().filter(|&&q| q).count(),
             outstanding_tasks: self.outstanding_tasks(),
             outcomes: self.outcomes.clone(),
@@ -1530,27 +1517,27 @@ impl ClusterSession {
             }
         }
         seen.iter()
-            .zip(&self.task_done)
-            .zip(&self.task_failed)
-            .zip(&self.task_migrated)
-            .filter(|(((&held, &done), &failed), &migrated)| held && !done && !failed && !migrated)
+            .zip(&self.task_status)
+            .filter(|&(&held, &status)| held && status == TaskStatus::Open)
             .count()
     }
 
-    /// Nodes currently in a sprint (ramping counts: the admission slot
-    /// is taken the moment the burst starts).
-    pub(crate) fn sprinting_nodes(&self) -> Vec<usize> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| {
-                n.task.is_some()
-                    && matches!(
-                        n.session.state(),
-                        SprintState::Ramping | SprintState::Sprinting
-                    )
-            })
-            .map(|(i, _)| i)
+    /// Whether `node` holds a sprint slot: it runs a task and is
+    /// ramping or sprinting (the slot is taken the moment the burst
+    /// starts).
+    pub(crate) fn is_sprinting(&self, node: usize) -> bool {
+        let n = &self.nodes[node];
+        n.task.is_some()
+            && matches!(
+                n.session.state(),
+                SprintState::Ramping | SprintState::Sprinting
+            )
+    }
+
+    /// Nodes currently in a sprint, ascending.
+    fn sprinting_nodes(&self) -> Vec<usize> {
+        (0..self.nodes.len())
+            .filter(|&i| self.is_sprinting(i))
             .collect()
     }
 
@@ -1846,10 +1833,10 @@ impl ClusterSession {
             .task
             .take()
             .expect("complete() requires a running task");
-        if self.task_done[task] {
+        if self.task_status[task] != TaskStatus::Open {
             return; // a duplicate copy lost the race
         }
-        self.task_done[task] = true;
+        self.task_status[task] = TaskStatus::Done;
         let outcome = TaskOutcome {
             task,
             node,
@@ -1883,16 +1870,6 @@ impl ClusterSession {
                     self.nodes[j].session.cancel_workload();
                     self.grant_order.retain(|&g| g != j);
                     self.duplicates_cancelled += 1;
-                    // Losers after the winner in index order still get
-                    // their rest this window (the lockstep loop reaches
-                    // them task-less); losers before it already ran, so
-                    // their first rest lands next window. The event
-                    // core consumes both lists to stay in lockstep.
-                    if j > node {
-                        self.cancelled_scratch.push(j as u32);
-                    } else {
-                        self.cancelled_after_run.push(j as u32);
-                    }
                 }
             }
         }

@@ -83,27 +83,27 @@
 //! configuration computes.
 //!
 //! The **event-driven core** ([`event::EventDrivenCluster`]) wraps a
-//! fresh lockstep session and restructures the run as a discrete-event
-//! scheduler. Each *component* — task arrivals, the admission
-//! scheduler, the rack settlement leader, each node session — exposes
-//! its next thermally- or electrically-relevant window as a tick on a
-//! time-ordered heap keyed `(window, component kind, node index)`, so
-//! simultaneous ticks pop in the lockstep phase order and the run is
-//! deterministic. The settlement leader still executes every window
-//! (the per-window ADI grid integration is bitwise irreducible); what
-//! the event core elides is the bookkeeping *around* the physics —
-//! idle nodes sleep until observed, then replay their private rest
-//! effects verbatim (same calls, same order, same floating-point
-//! sequence), and the scheduler ticks only on windows where its passes
-//! could observe or mutate anything.
+//! fresh lockstep session and runs the same windows in the same phase
+//! order, each phase only where it can act. Faults run on windows the
+//! plan stamps, arrivals when the next task or crash-retry is due, the
+//! scheduler passes when one of those fired or when a ready task, a
+//! grant or a sprinting node gives them something to do — each read
+//! from state the session already keeps, with no event queue. The node
+//! phase is one ascending loop over node 0 (the settlement leader, whose
+//! per-window ADI grid integration is bitwise irreducible), the busy
+//! nodes and the *owed* ones: a node that just lost its task owes one
+//! real rest, which takes its core power off the grid and records its
+//! idle draw before the next settlement. After that an idle node
+//! sleeps, and its private rest effects are replayed verbatim (same
+//! calls, same order, same floating-point sequence) when it is next
+//! observed.
 //!
 //! The contract between the two is not "close enough": an event-driven
 //! run must reproduce the lockstep [`cluster::ClusterReport`] digest
 //! **byte for byte** on the same configuration. The equivalence tests
 //! (`tests/event_core.rs` here, the sharded-facility digests in
 //! `sprint-facility`) and the `perfbench --check` perf gate pin that
-//! invariant; see the [`event`] module docs for the component model in
-//! detail.
+//! invariant; see the [`event`] module docs for what runs each window.
 //!
 //! # Fault injection and graceful degradation
 //!
@@ -121,9 +121,9 @@
 //! ([`supply::RackSupply::decommission_node`]), and
 //! [`cluster::ClusterReport`] accounts every submitted task as
 //! completed, failed-after-retries, or outstanding — never lost
-//! ([`cluster::ClusterReport::task_conservation_holds`]). Faults are
-//! ticks on the event core's heap, so faulted event-driven runs stay
-//! byte-identical to the lockstep oracle.
+//! ([`cluster::ClusterReport::task_conservation_holds`]). The event
+//! core wakes on every window the plan stamps, so faulted event-driven
+//! runs stay byte-identical to the lockstep oracle.
 //!
 //! # Heterogeneous fleets: per-node specs, task classes, placement
 //!

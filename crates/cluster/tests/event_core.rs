@@ -2,10 +2,7 @@
 //! every configuration the lockstep stepper is the oracle, and the
 //! event-driven run must reproduce its [`ClusterReport`] FNV digest
 //! byte-for-byte — same outcomes, same latencies at exact `f64` bits,
-//! same scheduler event counts, same per-node coupled reports. Seeded
-//! event-order fuzzing additionally shows the run is independent of
-//! heap insertion order (deterministic tie-breaking), covering the
-//! shed-order determinism story.
+//! same scheduler event counts, same per-node coupled reports.
 
 use sprint_cluster::prelude::*;
 use sprint_core::config::SprintConfig;
@@ -71,10 +68,9 @@ fn duplicating_rack() -> ClusterSession {
 
 /// Duplication with same-window loser cancellation: the winner's
 /// commit preempts every losing replica through the machine-level
-/// cancel API, mid-window — the cancelled-scratch handoff between the
-/// engines (losers above the winner rest *this* window, losers below
-/// it owe a retirement tick next window) is exactly what this config
-/// hammers.
+/// cancel API, mid-window — the event core's owed rests (losers above
+/// the winner rest *this* window, losers below it owe a rest next
+/// window) are exactly what this config hammers.
 fn cancelling_rack() -> ClusterSession {
     ClusterBuilder::new(GridThermalParams::rack(2, 2).time_scaled(3000.0))
         .policy(ClusterPolicy::CompetitiveDuplicate {
@@ -172,24 +168,6 @@ fn event_core_matches_lockstep_under_loser_cancellation() {
     assert_eq!(baseline.report().cancelled_copies, 0);
 }
 
-/// Event-order fuzzing over the cancellation path, too: the mid-window
-/// cancel must be a function of simulation state alone.
-#[test]
-fn event_order_fuzzing_is_bit_invariant_under_cancellation() {
-    let mut oracle = cancelling_rack();
-    oracle.run_to_completion();
-    let want = oracle.report().digest();
-    for seed in [3u64, 0xCAFE_F00D] {
-        let mut fuzzed = EventDrivenCluster::with_event_seed(cancelling_rack(), seed);
-        fuzzed.run_to_completion();
-        assert_eq!(
-            fuzzed.report().digest(),
-            want,
-            "seed {seed:#x} changed the cancelling run"
-        );
-    }
-}
-
 #[test]
 fn event_core_matches_lockstep_at_the_time_limit() {
     assert_equivalent(time_limited_rack, "time-limited drain");
@@ -216,42 +194,6 @@ fn event_core_matches_lockstep_mid_run() {
     // And the runs still agree after resuming to terminal.
     assert_eq!(lockstep.run_to_completion(), event.run_to_completion());
     assert_eq!(lockstep.report().digest(), event.report().digest());
-}
-
-/// Seeded event-order fuzzing: inserting each window's ticks into the
-/// heap in seeded-random order must not change one bit of the run —
-/// the `(window, kind, node)` keys impose a total order, so pop order
-/// (and with it admission, shed order and every float) is insertion-
-/// order independent.
-#[test]
-fn event_order_fuzzing_is_bit_invariant() {
-    let mut oracle = rationed_rack();
-    oracle.run_to_completion();
-    let want = oracle.report().digest();
-    for seed in [1u64, 42, 0x9E37_79B9, u64::MAX] {
-        let mut fuzzed = EventDrivenCluster::with_event_seed(rationed_rack(), seed);
-        fuzzed.run_to_completion();
-        assert_eq!(
-            fuzzed.report().digest(),
-            want,
-            "seed {seed:#x} changed the run"
-        );
-    }
-    // The shed-heavy rotation config, too: shed order must be a
-    // function of simulation state alone, never of event-queue
-    // internals.
-    let mut oracle = round_robin_rack();
-    oracle.run_to_completion();
-    let want = oracle.report().digest();
-    for seed in [7u64, 0xDEAD_BEEF] {
-        let mut fuzzed = EventDrivenCluster::with_event_seed(round_robin_rack(), seed);
-        fuzzed.run_to_completion();
-        assert_eq!(
-            fuzzed.report().digest(),
-            want,
-            "seed {seed:#x} changed the shed rotation"
-        );
-    }
 }
 
 /// A handcrafted plan that exercises every fault kind — stuck-cold
@@ -351,28 +293,6 @@ fn event_core_matches_lockstep_under_dense_faults() {
     assert!(report.task_conservation_holds(), "a task was lost");
 }
 
-/// Satellite: the seeded event-order fuzzing, with fault ticks
-/// interleaved on the heap — insertion order must still not change a
-/// bit of the run.
-#[test]
-fn event_order_fuzzing_is_bit_invariant_under_faults() {
-    for response in [FaultResponse::Aware, FaultResponse::Oblivious] {
-        let mut oracle = faulted_rationed_rack(response);
-        oracle.run_to_completion();
-        let want = oracle.report().digest();
-        for seed in [11u64, 0xFEED_FACE, u64::MAX - 1] {
-            let mut fuzzed =
-                EventDrivenCluster::with_event_seed(faulted_rationed_rack(response), seed);
-            fuzzed.run_to_completion();
-            assert_eq!(
-                fuzzed.report().digest(),
-                want,
-                "seed {seed:#x} changed the faulted run ({response:?})"
-            );
-        }
-    }
-}
-
 /// Satellite: task conservation over random fault plans, on both
 /// engines — every submitted task ends completed, failed, or
 /// outstanding; drained runs leave nothing outstanding.
@@ -409,6 +329,94 @@ fn task_conservation_holds_under_random_fault_plans() {
             );
         }
     }
+}
+
+/// Steps both engines to a terminal outcome, asserting after every
+/// window that they agree on the outcome and on what a facility reads
+/// from a rack at each settlement barrier: its heat (bit for bit), its
+/// ready backlog and its sprint grants.
+fn step_both_to_terminal(
+    lockstep: &mut ClusterSession,
+    event: &mut EventDrivenCluster,
+) -> ClusterOutcome {
+    loop {
+        let outcome = lockstep.step();
+        let w = lockstep.windows();
+        assert_eq!(outcome, event.step(), "outcome at window {w}");
+        let e = event.session();
+        assert_eq!(
+            lockstep.rack_heat_w().to_bits(),
+            e.rack_heat_w().to_bits(),
+            "rack heat at window {w}: lockstep {} W, event {} W",
+            lockstep.rack_heat_w(),
+            e.rack_heat_w(),
+        );
+        assert_eq!(
+            lockstep.ready_backlog(),
+            e.ready_backlog(),
+            "ready backlog at window {w}"
+        );
+        assert_eq!(
+            lockstep.sprinting_count(),
+            e.sprinting_count(),
+            "sprint grants at window {w}"
+        );
+        if outcome.is_terminal() {
+            return outcome;
+        }
+    }
+}
+
+/// A drained rack that is later handed a task — what the facility's
+/// requeue router does — must match the oracle window by window, not
+/// just in its final digest: the node that finished the last task
+/// still owes the rest that takes its core power off the grid, and
+/// draining must not forget it.
+#[test]
+fn drained_rack_handed_a_task_matches_lockstep_every_window() {
+    let mut lockstep = rationed_rack();
+    let mut event = EventDrivenCluster::new(rationed_rack());
+    assert_eq!(
+        step_both_to_terminal(&mut lockstep, &mut event),
+        ClusterOutcome::Drained
+    );
+    let task = ClusterTask::new(WorkloadKind::Sobel, InputSize::A, 16, 0.0);
+    lockstep.inject_task(task);
+    event.inject_task(task);
+    assert_eq!(
+        step_both_to_terminal(&mut lockstep, &mut event),
+        ClusterOutcome::Drained
+    );
+    assert_eq!(lockstep.windows(), event.windows());
+    assert_eq!(lockstep.report().digest(), event.report().digest());
+}
+
+/// The per-window telemetry check on the faulted rack, where crashes,
+/// failsafe preemptions and lapsed sprint grants leave windows whose
+/// only scheduler work is dropping a stale grant from the rotation.
+#[test]
+fn faulted_rack_matches_lockstep_every_window() {
+    let mut lockstep = faulted_rationed_rack(FaultResponse::Aware);
+    let mut event = EventDrivenCluster::new(faulted_rationed_rack(FaultResponse::Aware));
+    step_both_to_terminal(&mut lockstep, &mut event);
+    assert_eq!(lockstep.report().digest(), event.report().digest());
+}
+
+/// The per-window telemetry check under loser cancellation: a loser
+/// below its winner has already run this window and owes its first
+/// rest next window; a loser above it is reached task-less and rests
+/// this window. Either way its core power leaves the grid on the
+/// window the lockstep loop takes it off.
+#[test]
+fn cancelling_rack_matches_lockstep_every_window() {
+    let mut lockstep = cancelling_rack();
+    let mut event = EventDrivenCluster::new(cancelling_rack());
+    assert_eq!(
+        step_both_to_terminal(&mut lockstep, &mut event),
+        ClusterOutcome::Drained
+    );
+    assert!(lockstep.report().cancelled_copies > 0);
+    assert_eq!(lockstep.report().digest(), event.report().digest());
 }
 
 /// `into_session` hands back a session indistinguishable from a

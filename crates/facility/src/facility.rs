@@ -410,8 +410,8 @@ impl FacilityBuilder {
     }
 
     /// Selects each rack's stepping core (default on: the event-driven
-    /// core, where idle and resting nodes cost nothing between their
-    /// thermally-relevant ticks). `false` selects the lockstep
+    /// core, where idle nodes cost nothing while nothing reads their
+    /// state). `false` selects the lockstep
     /// [`ClusterSession`] stepper, which steps every node every window:
     /// the reference the equivalence tests and `repro facility --oracle`
     /// compare the event core against. By the cluster crate's

@@ -117,8 +117,8 @@
 //! counters and pins facility-wide task conservation
 //! ([`FacilityReport::task_conservation_holds`]): arrivals are never
 //! lost, only finished, failed after retries, or left outstanding at
-//! the time limit. Fault ticks ride the same event heap as everything
-//! else, so faulted facilities keep the any-worker-count digest
+//! the time limit. A rack's event core wakes on every window its plan
+//! stamps, so faulted facilities keep the any-worker-count digest
 //! guarantee.
 //!
 //! # Quick start

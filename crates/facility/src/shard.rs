@@ -16,8 +16,8 @@ use sprint_cluster::{
 
 use crate::facility::{Facility, RackSpec};
 
-/// One rack's stepping core: the event-driven core that skips idle
-/// nodes between their thermally-relevant ticks, or the lockstep
+/// One rack's stepping core: the event-driven core that lets idle
+/// nodes sleep while nothing reads their state, or the lockstep
 /// reference stepper. Both expose the identical window-granular
 /// protocol the settlement barrier needs, and by the cluster crate's
 /// golden-equivalence invariant they produce byte-identical reports —
@@ -26,7 +26,7 @@ use crate::facility::{Facility, RackSpec};
 enum RackDriver {
     /// The lockstep [`ClusterSession`] stepper (the reference).
     Lockstep(ClusterSession),
-    /// The event-heap core over the same session.
+    /// The event-driven core over the same session.
     Event(EventDrivenCluster),
 }
 
@@ -72,7 +72,7 @@ impl RackDriver {
     }
 
     /// Admits a routed task onto this rack as a fresh ready-queue
-    /// entry (the event core also arms the wake-up tick).
+    /// entry, which wakes the rack's scheduler next window.
     fn inject(&mut self, task: ClusterTask) {
         match self {
             RackDriver::Lockstep(s) => s.inject_task(task),

@@ -4,9 +4,9 @@
 //! construction, and the reference the rest of the stack is pinned to,
 //! but on a mostly-idle rack almost all of that work is bookkeeping for
 //! nodes whose next thermally-relevant instant is far away. The
-//! event-driven core keeps a time-ordered event heap instead and only
-//! touches the nodes a window actually concerns, catching sleepers up
-//! in bulk when a scheduling decision needs their state.
+//! event-driven core only touches the nodes a window actually
+//! concerns, catching sleepers up in bulk when a scheduling decision
+//! needs their state.
 //!
 //! The contract is not "close": the event core must reproduce the
 //! lockstep [`ClusterReport`] digest **byte for byte** on the same
