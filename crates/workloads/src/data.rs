@@ -52,10 +52,16 @@ impl GrayImage {
     }
 }
 
+/// Panics unless the generators can build a `width x height` image.
+/// Workloads that keep only a seed call it where their size is given.
+pub(crate) fn check_image_dims(width: usize, height: usize) {
+    assert!(width >= 8 && height >= 8, "image must be at least 8x8");
+}
+
 /// Generates a textured scene: smooth gradients, rectangular objects with
 /// sharp edges, and band-limited noise.
 pub fn textured_image(width: usize, height: usize, seed: u64) -> GrayImage {
-    assert!(width >= 8 && height >= 8, "image must be at least 8x8");
+    check_image_dims(width, height);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut pixels = vec![0u8; width * height];
     // Background: two-axis gradient.

@@ -14,7 +14,7 @@ use sprint_archsim::machine::Machine;
 use sprint_archsim::memmap::{AddressSpace, Region};
 use sprint_archsim::program::{Inbox, Kernel, KernelStatus, ThreadId};
 
-use crate::data::{stereo_pair, GrayImage};
+use crate::data::{check_image_dims, stereo_pair, GrayImage};
 use crate::emit;
 use crate::partition::chunk_range;
 use crate::suite::{InputSize, Workload};
@@ -69,10 +69,10 @@ struct DisparityData {
     map: Region,
 }
 
-/// The disparity workload.
+/// The disparity workload: dimensions, placement and the input seed.
 pub struct DisparityWorkload {
     data: Arc<DisparityData>,
-    map: Vec<u8>,
+    seed: u64,
 }
 
 impl std::fmt::Debug for DisparityWorkload {
@@ -95,8 +95,7 @@ impl DisparityWorkload {
 
     /// Builds the workload for explicit dimensions.
     pub fn with_dims(width: usize, height: usize, seed: u64) -> Self {
-        let (left, right) = stereo_pair(width, height, DISPARITIES * 2, seed);
-        let map = disparity_native(&left, &right);
+        check_image_dims(width, height);
         let mut mem = AddressSpace::new();
         // SD-VBS stores images as 32-bit ints: 4 bytes per pixel of
         // streaming traffic per pass.
@@ -111,13 +110,16 @@ impl DisparityWorkload {
                 right: right_r,
                 map: map_r,
             }),
-            map,
+            seed,
         }
     }
 
-    /// The natively computed disparity map.
-    pub fn map(&self) -> &[u8] {
-        &self.map
+    /// The natively computed disparity map, regenerated from the seeded
+    /// stereo pair on each call.
+    pub fn map(&self) -> Vec<u8> {
+        let d = &self.data;
+        let (left, right) = stereo_pair(d.width, d.height, DISPARITIES * 2, self.seed);
+        disparity_native(&left, &right)
     }
 }
 

@@ -139,7 +139,6 @@ struct FeatureData {
     integral: Region,
     responses: Region,
     descriptors: Region,
-    queue: std::sync::atomic::AtomicU32,
 }
 
 /// The feature-extraction workload.
@@ -188,7 +187,6 @@ impl FeatureWorkload {
                 integral,
                 responses,
                 descriptors,
-                queue: std::sync::atomic::AtomicU32::new(0),
             }),
         }
     }
@@ -206,9 +204,6 @@ impl Workload for FeatureWorkload {
 
     fn setup(&self, machine: &mut Machine, threads: usize) {
         let queue = machine.create_task_queue(self.data.features.len() as u32);
-        self.data
-            .queue
-            .store(queue, std::sync::atomic::Ordering::Relaxed);
         for t in 0..threads {
             machine.spawn(Box::new(FeatureKernel::new(
                 self.data.clone(),

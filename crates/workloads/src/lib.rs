@@ -16,6 +16,14 @@
 //! | [`texture`] | rows + serial seam pass | parallelism limited |
 //! | [`segment`] | tiles + serial merge | parallelism limited (~6.6x) |
 //!
+//! Every suite input is a pure function of its kernel and [`InputSize`]:
+//! [`build_workload`] builds each one once per process and shares that
+//! immutable instance with every caller and thread, so a burst's load
+//! costs only its kernels' spawn. A workload keeps only what its kernels
+//! read; reference results (`SobelWorkload::checksum`,
+//! `DisparityWorkload::map`, ...) are computed when asked for. The
+//! per-kernel `with_dims` constructors build a fresh copy at any size.
+//!
 //! # Quick start
 //!
 //! ```

@@ -14,7 +14,7 @@ use sprint_archsim::machine::Machine;
 use sprint_archsim::memmap::{AddressSpace, Region};
 use sprint_archsim::program::{Inbox, Kernel, KernelStatus, ThreadId};
 
-use crate::data::{textured_image, GrayImage};
+use crate::data::{check_image_dims, textured_image, GrayImage};
 use crate::emit;
 use crate::partition::chunk_range;
 use crate::suite::{InputSize, Workload};
@@ -91,10 +91,10 @@ struct SegmentData {
     labels: Region,
 }
 
-/// The segmentation workload.
+/// The segmentation workload: dimensions, placement and the input seed.
 pub struct SegmentWorkload {
     data: Arc<SegmentData>,
-    segments: usize,
+    seed: u64,
 }
 
 impl std::fmt::Debug for SegmentWorkload {
@@ -102,7 +102,6 @@ impl std::fmt::Debug for SegmentWorkload {
         f.debug_struct("SegmentWorkload")
             .field("width", &self.data.width)
             .field("height", &self.data.height)
-            .field("segments", &self.segments)
             .finish_non_exhaustive()
     }
 }
@@ -118,8 +117,7 @@ impl SegmentWorkload {
 
     /// Builds the workload for explicit dimensions.
     pub fn with_dims(width: usize, height: usize, seed: u64) -> Self {
-        let img = textured_image(width, height, seed);
-        let (_labels, segments) = segment_native(&img);
+        check_image_dims(width, height);
         let mut mem = AddressSpace::new();
         let input = mem.alloc_bytes((width * height) as u64);
         let labels = mem.alloc_bytes((width * height * 4) as u64);
@@ -130,13 +128,15 @@ impl SegmentWorkload {
                 input,
                 labels,
             }),
-            segments,
+            seed,
         }
     }
 
-    /// Number of segments the native pass found.
+    /// Number of segments the native pass finds, regenerated from the
+    /// seeded image on each call.
     pub fn segments(&self) -> usize {
-        self.segments
+        let d = &self.data;
+        segment_native(&textured_image(d.width, d.height, self.seed)).1
     }
 }
 
@@ -318,12 +318,8 @@ mod tests {
 
     #[test]
     fn textured_image_has_many_segments() {
-        let w = SegmentWorkload::with_dims(128, 96, 3);
-        assert!(
-            w.segments() > 10,
-            "textured scene: {} segments",
-            w.segments()
-        );
+        let segments = SegmentWorkload::with_dims(128, 96, 3).segments();
+        assert!(segments > 10, "textured scene: {segments} segments");
     }
 
     #[test]

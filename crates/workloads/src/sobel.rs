@@ -36,16 +36,14 @@ pub fn sobel_native(img: &GrayImage) -> Vec<u8> {
 }
 
 struct SobelData {
-    img: Arc<GrayImage>,
+    img: GrayImage,
     input: Region,
     output: Region,
-    threads_hint: std::sync::atomic::AtomicUsize,
 }
 
 /// The sobel workload: image + simulated placement.
 pub struct SobelWorkload {
     data: Arc<SobelData>,
-    checksum: u64,
 }
 
 impl std::fmt::Debug for SobelWorkload {
@@ -71,26 +69,22 @@ impl SobelWorkload {
     /// Builds the workload for an arbitrary image size (Figure 8's
     /// megapixel sweep).
     pub fn with_dims(width: usize, height: usize, seed: u64) -> Self {
-        let img = Arc::new(textured_image(width, height, seed));
-        let native = sobel_native(&img);
-        let checksum = native.iter().map(|&v| u64::from(v)).sum();
+        let img = textured_image(width, height, seed);
         let mut mem = AddressSpace::new();
         let input = mem.alloc_bytes((width * height) as u64);
         let output = mem.alloc_bytes((width * height) as u64);
         Self {
-            data: Arc::new(SobelData {
-                img,
-                input,
-                output,
-                threads_hint: std::sync::atomic::AtomicUsize::new(1),
-            }),
-            checksum,
+            data: Arc::new(SobelData { img, input, output }),
         }
     }
 
-    /// Checksum of the native result (regression/verification hook).
+    /// Checksum of the native result (regression/verification hook),
+    /// computed on each call.
     pub fn checksum(&self) -> u64 {
-        self.checksum
+        sobel_native(&self.data.img)
+            .iter()
+            .map(|&v| u64::from(v))
+            .sum()
     }
 
     /// Image megapixels.
@@ -105,9 +99,6 @@ impl Workload for SobelWorkload {
     }
 
     fn setup(&self, machine: &mut Machine, threads: usize) {
-        self.data
-            .threads_hint
-            .store(threads, std::sync::atomic::Ordering::Relaxed);
         for t in 0..threads {
             machine.spawn(Box::new(SobelKernel::new(self.data.clone(), t, threads)));
         }

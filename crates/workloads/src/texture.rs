@@ -13,7 +13,7 @@ use sprint_archsim::machine::Machine;
 use sprint_archsim::memmap::{AddressSpace, Region};
 use sprint_archsim::program::{Inbox, Kernel, KernelStatus, ThreadId};
 
-use crate::data::{textured_image, GrayImage};
+use crate::data::{check_image_dims, textured_image, GrayImage};
 use crate::emit;
 use crate::partition::chunk_range;
 use crate::suite::{InputSize, Workload};
@@ -60,10 +60,11 @@ struct TextureData {
     output: Region,
 }
 
-/// The texture-composition workload.
+/// The texture-composition workload: dimensions, placement and the seed
+/// of the first layer.
 pub struct TextureWorkload {
     data: Arc<TextureData>,
-    checksum: u64,
+    seed: u64,
 }
 
 impl std::fmt::Debug for TextureWorkload {
@@ -86,11 +87,7 @@ impl TextureWorkload {
 
     /// Builds the workload for explicit dimensions.
     pub fn with_dims(width: usize, height: usize, seed: u64) -> Self {
-        let layers: Vec<GrayImage> = (0..LAYERS)
-            .map(|l| textured_image(width, height, seed + l as u64))
-            .collect();
-        let native = compose_native(&layers);
-        let checksum = native.iter().map(|&v| v as u64).sum();
+        check_image_dims(width, height);
         let mut mem = AddressSpace::new();
         let layer_regions = (0..LAYERS)
             .map(|_| mem.alloc_bytes((width * height) as u64))
@@ -103,13 +100,18 @@ impl TextureWorkload {
                 layers: layer_regions,
                 output,
             }),
-            checksum,
+            seed,
         }
     }
 
-    /// Checksum of the native composition.
+    /// Checksum of the native composition, regenerated from the seeded
+    /// layers on each call.
     pub fn checksum(&self) -> u64 {
-        self.checksum
+        let d = &self.data;
+        let layers: Vec<GrayImage> = (0..LAYERS)
+            .map(|l| textured_image(d.width, d.height, self.seed + l as u64))
+            .collect();
+        compose_native(&layers).iter().map(|&v| v as u64).sum()
     }
 }
 

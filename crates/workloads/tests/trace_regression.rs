@@ -5,9 +5,16 @@
 //! and wall-clock are pinned exactly. A change to any of these numbers
 //! means the emitted trace changed — intentional changes must update the
 //! table *and* re-run the figure calibration in EXPERIMENTS.md.
+//!
+//! Suite inputs are shared per process, so the same table also pins that
+//! a run leaves its input untouched: a second load of a kind, from this
+//! thread or another, must retire the same trace.
+
+use std::sync::{Arc, Barrier};
+use std::thread;
 
 use sprint_archsim::{Machine, MachineConfig};
-use sprint_workloads::suite::{build_workload, InputSize, WorkloadKind};
+use sprint_workloads::suite::{build_workload, InputSize, Workload, WorkloadKind};
 
 /// `(kernel, instructions, loads, stores, time_ps)` on 4 cores, size A.
 const GOLDEN: [(WorkloadKind, u64, u64, u64, u64); 6] = [
@@ -49,7 +56,13 @@ const GOLDEN: [(WorkloadKind, u64, u64, u64, u64); 6] = [
     ),
 ];
 
-fn run(kind: WorkloadKind) -> (u64, u64, u64, u64) {
+/// Loads `kind` at size A from the suite table, runs it to completion on
+/// 4 cores and asserts its `GOLDEN` row. Returns the loaded instance.
+fn run_golden(kind: WorkloadKind) -> Arc<dyn Workload> {
+    let (_, instr, loads, stores, time_ps) = GOLDEN
+        .into_iter()
+        .find(|row| row.0 == kind)
+        .expect("every kind has a golden row");
     let w = build_workload(kind, InputSize::A);
     let mut m = Machine::new(MachineConfig::hpca().with_cores(4));
     w.setup(&mut m, 4);
@@ -57,17 +70,47 @@ fn run(kind: WorkloadKind) -> (u64, u64, u64, u64) {
         m.run_window(1_000_000);
     }
     let s = m.stats();
-    (s.instructions, s.loads, s.stores, m.time_ps())
+    assert_eq!(
+        s.instructions,
+        instr,
+        "{}: instruction count drifted",
+        kind.name()
+    );
+    assert_eq!(s.loads, loads, "{}: load count drifted", kind.name());
+    assert_eq!(s.stores, stores, "{}: store count drifted", kind.name());
+    assert_eq!(m.time_ps(), time_ps, "{}: timing drifted", kind.name());
+    w
 }
 
 #[test]
 fn golden_traces_are_stable() {
-    for (kind, instr, loads, stores, time_ps) in GOLDEN {
-        let (i, l, s, t) = run(kind);
-        assert_eq!(i, instr, "{}: instruction count drifted", kind.name());
-        assert_eq!(l, loads, "{}: load count drifted", kind.name());
-        assert_eq!(s, stores, "{}: store count drifted", kind.name());
-        assert_eq!(t, time_ps, "{}: timing drifted", kind.name());
+    for kind in WorkloadKind::ALL {
+        let first = run_golden(kind);
+        let second = run_golden(kind);
+        assert!(
+            Arc::ptr_eq(&first, &second),
+            "{}: the second load must reuse the first's input",
+            kind.name()
+        );
+    }
+}
+
+#[test]
+fn golden_traces_hold_when_two_threads_share_the_table() {
+    let barrier = Barrier::new(2);
+    let [a, b] = thread::scope(|scope| {
+        let load = || {
+            barrier.wait();
+            WorkloadKind::ALL.map(run_golden)
+        };
+        [scope.spawn(load), scope.spawn(load)].map(|h| h.join().expect("a loader thread panicked"))
+    });
+    for ((kind, a), b) in WorkloadKind::ALL.iter().zip(&a).zip(&b) {
+        assert!(
+            Arc::ptr_eq(a, b),
+            "{}: both threads must share one input",
+            kind.name()
+        );
     }
 }
 
