@@ -1091,8 +1091,8 @@ impl ClusterSession {
         self.assign_ready(now);
         self.shed_pass(now);
         self.power_shed_pass(now);
-        // 4. Step busy nodes, rest idle ones, in index order (node 0 is
-        // the lockstep leader that advances the shared grid).
+        // 4. Step busy nodes, rest idle ones, in index order (node 0
+        // goes first: its views alone move the shared grid and pool).
         for i in 0..self.nodes.len() {
             self.run_node_window(i);
         }

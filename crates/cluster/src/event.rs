@@ -51,14 +51,16 @@
 //!
 //! # The lazy rest replay
 //!
-//! A sleeping node's remaining rest effects are private: the idle
-//! clock and the per-window supply recharge. They are replayed
+//! Only node 0's thermal and supply views move shared time; every
+//! other node's `advance` is a no-op and its `idle_recharge` records its
+//! draw and settles nothing (`rack` and `supply` module docs). So a
+//! sleeping node's remaining rest effects are private: its idle clock
+//! and the idle draw it records again each window. They are replayed
 //! verbatim — `rest_many`, whose contract is bit-identical to the
 //! looped `rest` calls — when the node is next observed: before any
 //! window that may assign it work, and at terminal and report time.
-//! The shared-state legs of those windows are pure followers (the
-//! leader already carried the grid and pool past them), so a sleeping
-//! fleet costs a fraction of the lockstep loop.
+//! Node 0 never sleeps, so a sleeping fleet costs a fraction of the
+//! lockstep loop.
 //!
 //! # The lockstep path is the golden oracle
 //!
@@ -155,15 +157,15 @@ impl EventDrivenCluster {
     }
 
     /// Replays every sleeping node's outstanding rest windows so all
-    /// nodes have executed windows `0..target`. The replay reproduces
-    /// the *same* per-window `rest` sequence the lockstep loop would
-    /// have made — batched through `rest_many`, whose contract is
-    /// bit-identical to the loop — and the shared-state legs of those
-    /// windows are pure followers (the settlement leader already
-    /// carried the grid and pool past them), so the bit pattern of
-    /// every touched float is identical to the lockstep run's. The
-    /// batching is what makes sleeping cheap: a follower window costs
-    /// a couple of adds instead of two `RefCell` round-trips.
+    /// nodes have executed windows `0..target`. Only nodes `1..` can
+    /// sleep, and their views never move shared time, so the replay
+    /// touches nothing but each node's own ledger: it reproduces the
+    /// *same* per-window `rest` sequence the lockstep loop would have
+    /// made — batched through `rest_many`, whose contract is
+    /// bit-identical to the loop — and the bit pattern of every touched
+    /// float is identical to the lockstep run's. The batching is what
+    /// makes sleeping cheap: a replayed window costs an add to the idle
+    /// clock, and the supply side records the idle draw once.
     fn catch_up_all(&mut self, target: u64) {
         for i in 1..self.inner.nodes.len() {
             debug_assert!(self.done[i] <= target);

@@ -84,11 +84,6 @@ impl PowerPolicy {
             );
         }
     }
-
-    /// True when this policy consults the pool at all.
-    pub fn is_rationed(&self) -> bool {
-        matches!(self, PowerPolicy::Rationed { .. })
-    }
 }
 
 /// A cluster sprint-admission policy. See the module docs.

@@ -28,20 +28,20 @@
 //!   (the nameplate *is* the ambient-state reading), which is why the
 //!   1-node equivalence against a standalone session still holds.
 //!
-//! # Time: the leader-advance rule
+//! # Time: node 0 leads
 //!
 //! Many sessions advance one grid, so `advance` cannot simply integrate
 //! per call — N lockstep nodes would advance the rack N times per
-//! window. Each view instead keeps its node's clock, and the *shared*
-//! grid advances only when a view's clock moves past the furthest point
-//! already integrated: in a lockstep round the first node to step (the
-//! leader) advances the rack by exactly one window, and every other
-//! node's `advance` lands on the already-integrated instant and does
-//! nothing. Follower nodes' power updates therefore take effect with at
-//! most one window of skew — the same reaction lag every other part of
-//! the co-simulation loop already has. With a single node the leader
-//! path runs every time and the view is *bit-for-bit* the standalone
-//! backend (the cluster equivalence test pins this).
+//! window. Only node 0's view moves shared time: its `advance`
+//! integrates the grid by exactly its `dt_s`, and every other view's
+//! `advance` does nothing. Both cluster steppers advance every node
+//! once per window, by the same window, with node 0 first, so node 0's
+//! pass carries the whole rack across each window. Other nodes' power
+//! updates therefore take effect with at most one window of skew — the
+//! same reaction lag every other part of the co-simulation loop already
+//! has. With a single node, node 0 is the
+//! whole rack and the view is *bit-for-bit* the standalone backend (the
+//! cluster equivalence test pins this).
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -49,40 +49,13 @@ use std::rc::Rc;
 use sprint_core::thermal_model::ThermalModel;
 use sprint_thermal::grid::GridThermal;
 
-/// Cross-node memo for batched follower catch-up: one node's replay of
-/// `count` repeated `from + dt + dt + ...` clock additions, keyed
-/// bitwise. Sleeping nodes in a fleet share bit-identical clocks (all
-/// accumulate the same window length from zero by the same adds), so
-/// the first node to replay a gap answers for every other node with
-/// the same starting clock — an O(windows) loop becomes O(1) per
-/// node. Purely a memo: the cached `to` is the exact value the loop
-/// produced, and a lookup only applies when the keys match bitwise
-/// and the result provably stays inside the follower regime.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct FollowerReplayCache {
-    /// Starting clock, bits (bitwise key).
-    pub from: u64,
-    /// Per-step interval, bits (bitwise key).
-    pub dt: u64,
-    /// Steps replayed.
-    pub count: u64,
-    /// Resulting clock after `count` repeated adds.
-    pub to: f64,
-}
-
 /// The shared state behind every view of one rack.
 #[derive(Debug)]
 struct RackShared {
     grid: GridThermal,
-    /// Per-node simulated clocks, seconds.
-    node_time_s: Vec<f64>,
-    /// Memoized follower replay (see [`FollowerReplayCache`]).
-    replay_cache: Option<FollowerReplayCache>,
-    /// How far the grid has been integrated, seconds. Kept separately
-    /// from the grid's own clock so lockstep leaders advance by their
-    /// exact window length (re-deriving the lead from the grid clock
-    /// would pick up sub-stepping round-off and break bit equality
-    /// with a standalone backend).
+    /// How far node 0 has integrated the grid, seconds: the sum of its
+    /// window lengths. Kept separately from the grid's own clock, which
+    /// accumulates sub-steps and so picks up round-off.
     advanced_to_s: f64,
     /// Per-node regional sprint budgets at commissioning (the rack at
     /// ambient), joules — the *nameplate* figure node-local governors
@@ -123,8 +96,6 @@ impl RackThermal {
         Self {
             shared: Rc::new(RefCell::new(RackShared {
                 grid,
-                node_time_s: vec![0.0; nodes],
-                replay_cache: None,
                 advanced_to_s: 0.0,
                 nameplate_budget_j,
             })),
@@ -133,10 +104,12 @@ impl RackThermal {
 
     /// Number of server nodes (floorplan cores).
     pub fn nodes(&self) -> usize {
-        self.shared.borrow().node_time_s.len()
+        self.shared.borrow().nameplate_budget_j.len()
     }
 
-    /// The `ThermalModel` view for node `node`.
+    /// The `ThermalModel` view for node `node`. Only view 0 moves
+    /// shared time: every other view's `advance` is a no-op (see the
+    /// module docs), so node 0 must step first in every window.
     ///
     /// # Panics
     ///
@@ -226,7 +199,7 @@ impl RackThermal {
 }
 
 /// One node's `ThermalModel` view of the shared rack (see the module
-/// docs for the mapping and the leader-advance rule).
+/// docs for the mapping and the node-0 time rule).
 #[derive(Debug, Clone)]
 pub struct NodeThermalView {
     shared: Rc<RefCell<RackShared>>,
@@ -256,83 +229,17 @@ impl ThermalModel for NodeThermalView {
     }
 
     fn advance(&mut self, dt_s: f64) {
+        // Node 0 carries the whole rack across the window; by the time
+        // any other node steps, its interval is already integrated
+        // (with its power as of node 0's pass).
+        if self.node != 0 {
+            return;
+        }
         let mut s = self.shared.borrow_mut();
-        let t = s.node_time_s[self.node];
-        let target = t + dt_s;
-        if t >= s.advanced_to_s {
-            // Leader: this node's clock is at (or past) the integration
-            // frontier, so the rack advances by exactly `dt_s`.
-            if dt_s > 0.0 {
-                s.grid.advance(dt_s);
-            }
-            s.advanced_to_s = target;
-        } else if target > s.advanced_to_s {
-            // Straggler overtaking the frontier (a node stepped with a
-            // larger window): integrate only the uncovered remainder.
-            let lead = target - s.advanced_to_s;
-            s.grid.advance(lead);
-            s.advanced_to_s = target;
+        if dt_s > 0.0 {
+            s.grid.advance(dt_s);
         }
-        // Follower inside the frontier: the interval is already
-        // integrated (with this node's power as of the leader's pass).
-        s.node_time_s[self.node] = target;
-    }
-
-    fn advance_many(&mut self, dt_s: f64, count: u64) {
-        // Batched follower catch-up: one borrow for the whole run, with
-        // per-iteration arithmetic identical to the looped `advance`
-        // path (`t + dt_s` per step, never `count * dt_s` — the event
-        // core's digests are pinned bit-for-bit against lockstep). The
-        // moment an iteration would lead or overtake the frontier, the
-        // grid must integrate, so bail to the per-call path for the
-        // remainder.
-        let mut remaining = count;
-        {
-            let mut s = self.shared.borrow_mut();
-            let s = &mut *s;
-            let node = self.node;
-            let frontier = s.advanced_to_s;
-            let t0 = s.node_time_s[node];
-            // Cross-node memo (see `FollowerReplayCache`). Validity:
-            // for `dt_s > 0` the clock is strictly increasing, so a
-            // cached final clock at or inside the frontier proves
-            // every intermediate step satisfied the follower
-            // condition (`t < frontier` and `target <= frontier`) —
-            // the loop below would have taken exactly these steps.
-            if dt_s > 0.0 {
-                if let Some(c) = s.replay_cache {
-                    if c.from == t0.to_bits()
-                        && c.dt == dt_s.to_bits()
-                        && c.count == count
-                        && c.to <= frontier
-                    {
-                        s.node_time_s[node] = c.to;
-                        return;
-                    }
-                }
-            }
-            let mut t = t0;
-            while remaining > 0 {
-                let target = t + dt_s;
-                if t >= frontier || target > frontier {
-                    break;
-                }
-                t = target;
-                remaining -= 1;
-            }
-            s.node_time_s[node] = t;
-            if remaining == 0 && count > 0 && dt_s > 0.0 {
-                s.replay_cache = Some(FollowerReplayCache {
-                    from: t0.to_bits(),
-                    dt: dt_s.to_bits(),
-                    count,
-                    to: t,
-                });
-            }
-        }
-        for _ in 0..remaining {
-            self.advance(dt_s);
-        }
+        s.advanced_to_s += dt_s;
     }
 
     fn junction_temp_c(&self) -> f64 {
@@ -418,6 +325,55 @@ mod tests {
         }
         // The heated node's view is hotter than a far corner's.
         assert!(views[0].junction_temp_c() > views[3].junction_temp_c() + 0.1);
+    }
+
+    /// Every cell temperature's bits, plus the rack clock's.
+    fn rack_bits(rack: &RackThermal) -> Vec<u64> {
+        let mut bits = vec![rack.time_s().to_bits()];
+        rack.with_grid(|g| {
+            let p = g.params();
+            for layer in 0..g.layer_count() {
+                for y in 0..p.ny {
+                    for x in 0..p.nx {
+                        bits.push(g.cell_temp_c(layer, x, y).to_bits());
+                    }
+                }
+            }
+        });
+        bits
+    }
+
+    #[test]
+    fn views_other_than_zero_never_move_the_rack() {
+        let rack = rack2x2();
+        let mut v0 = rack.node_view(0);
+        v0.set_chip_power_w(8.0);
+        v0.advance(0.1);
+        for n in 1..4 {
+            // Heated and stepped well past node 0's clock, alone.
+            let mut v = rack.node_view(n);
+            v.set_chip_power_w(16.0);
+            let before = rack_bits(&rack);
+            v.advance(0.5);
+            v.advance_many(0.5, 3);
+            assert_eq!(rack_bits(&rack), before, "view {n} moved the rack");
+        }
+    }
+
+    #[test]
+    fn view_zero_moves_the_rack_by_exactly_its_dt() {
+        let rack = rack2x2();
+        let mut v0 = rack.node_view(0);
+        let mut v2 = rack.node_view(2);
+        v2.set_chip_power_w(16.0);
+        v2.advance(1.0);
+        for _ in 0..3 {
+            let t = rack.time_s();
+            v0.advance(0.1);
+            assert_eq!(rack.time_s().to_bits(), (t + 0.1).to_bits());
+        }
+        // Node 0's pass integrates the power node 2 recorded.
+        assert!(v2.junction_temp_c() > rack.node_view(1).junction_temp_c() + 0.1);
     }
 
     #[test]

@@ -35,17 +35,18 @@
 //! watts — chip demand divided by the regulator's load-dependent
 //! efficiency — not raw chip power.
 //!
-//! # Time: frontier settlement
+//! # Time: node 0 settles
 //!
 //! Many views draw from one pool, so energy cannot simply be settled
 //! per call — N lockstep nodes would drain the reserve N times per
-//! window. Each view instead keeps its node's clock (`draw` and
-//! `idle_recharge` both advance it), and the pool settles an interval
-//! exactly once, when the first view's clock moves past the settled
-//! frontier — the same leader-advance rule the thermal rack uses. A
-//! settled interval integrates the *currently recorded* per-node draws:
-//! follower nodes' updates take effect with at most one window of skew,
-//! the same reaction lag every other part of the co-simulation loop
+//! window. Every view's `draw` and `idle_recharge` record its node's
+//! upstream draw, but only node 0's view settles the pool, across its
+//! own interval — the thermal rack's node-0 rule, which covers every
+//! window for the same reason: both cluster steppers run every node
+//! once per window, by the same window, with node 0 first. A settled
+//! interval integrates the *currently recorded* per-node draws: other
+//! nodes' updates take effect with at most one window of skew, the
+//! same reaction lag every other part of the co-simulation loop
 //! already has. Settlement drains the reserve by the over-cap deficit
 //! (or recharges it from spare busbar headroom when under cap) and
 //! latches the brownout flag the views' draws consult.
@@ -137,25 +138,16 @@ impl RackSupplyParams {
     }
 }
 
-use crate::rack::FollowerReplayCache;
-
 /// The shared state behind every view of one rack feed.
 #[derive(Debug)]
 struct SupplyShared {
-    /// Memoized follower replay (see
-    /// [`FollowerReplayCache`](crate::rack::FollowerReplayCache)):
-    /// sleeping nodes share bit-identical clocks, so one node's
-    /// repeated-add catch-up answers for the whole fleet.
-    replay_cache: Option<FollowerReplayCache>,
     cap_w: f64,
     reserve_j: f64,
     reserve_capacity_j: f64,
     recharge_w: f64,
     /// Per-node upstream draw telemetry, watts (last reported).
     node_draw_w: Vec<f64>,
-    /// Per-node clocks, seconds.
-    node_time_s: Vec<f64>,
-    /// How far pool energy has been settled, seconds.
+    /// How far node 0 has settled pool energy, seconds.
     settled_to_s: f64,
     /// Latched by settlement: the bus cannot serve the recorded
     /// over-cap demand (reserve empty). Views' draws consult it.
@@ -204,16 +196,16 @@ impl SupplyShared {
 }
 
 impl SupplyShared {
-    /// Advances `node`'s clock to `target`, settling any interval past
-    /// the frontier (leader-advance; see the module docs).
-    fn advance_node(&mut self, node: usize, dt_s: f64) {
-        let target = self.node_time_s[node] + dt_s;
+    /// Settles node 0's next `dt_s` (see the module docs). The pool is
+    /// charged for the interval the settled clock actually moves,
+    /// `(settled_to_s + dt_s) - settled_to_s`, which can differ from
+    /// `dt_s` in the last bit.
+    fn advance(&mut self, dt_s: f64) {
+        let target = self.settled_to_s + dt_s;
         if target > self.settled_to_s {
-            let dt = target - self.settled_to_s;
-            self.settle(dt);
+            self.settle(target - self.settled_to_s);
             self.settled_to_s = target;
         }
-        self.node_time_s[node] = target;
     }
 
     /// Settles `dt_s` of pool energy against the recorded draws.
@@ -276,13 +268,11 @@ impl RackSupply {
             "nameplate share weights must be finite and positive"
         );
         let mut shared = SupplyShared {
-            replay_cache: None,
             cap_w: params.cap_w,
             reserve_j: params.reserve_capacity_j,
             reserve_capacity_j: params.reserve_capacity_j,
             recharge_w: params.reserve_recharge_w,
             node_draw_w: vec![0.0; nodes],
-            node_time_s: vec![0.0; nodes],
             settled_to_s: 0.0,
             brownout: false,
             brownout_intervals: 0,
@@ -303,7 +293,10 @@ impl RackSupply {
         self.shared.borrow().node_draw_w.len()
     }
 
-    /// The `PowerSupply` view for node `node`.
+    /// The `PowerSupply` view for node `node`. Every view records its
+    /// node's draw, but only view 0 moves shared time: it alone settles
+    /// the pool (see the module docs), so node 0 must step first in
+    /// every window.
     ///
     /// # Panics
     ///
@@ -449,7 +442,7 @@ impl RackSupplyParams {
 }
 
 /// One node's `PowerSupply` view of the shared rack feed (see the
-/// module docs for the nameplate-vs-telemetry split and the frontier
+/// module docs for the nameplate-vs-telemetry split and the node-0
 /// settlement rule).
 #[derive(Debug, Clone)]
 pub struct NodeSupplyView {
@@ -489,7 +482,9 @@ impl PowerSupply for NodeSupplyView {
     fn draw(&mut self, power_w: f64, dt_s: f64) -> Result<(), SupplyError> {
         let mut s = self.shared.borrow_mut();
         s.node_draw_w[self.node] = power_w.max(0.0);
-        s.advance_node(self.node, dt_s);
+        if self.node == 0 {
+            s.advance(dt_s);
+        }
         // During a brownout the PDU sheds loads drawing beyond their
         // nameplate share; in-share (sustained) draws ride through.
         // The boundary is tolerance-consistent with the advertised
@@ -521,11 +516,13 @@ impl PowerSupply for NodeSupplyView {
     fn idle_recharge(&mut self, dt_s: f64) -> f64 {
         let mut s = self.shared.borrow_mut();
         s.node_draw_w[self.node] = self.idle_draw_w;
+        if self.node != 0 {
+            // Node 0 already settled this interval and accounted the
+            // energy that flowed back.
+            return 0.0;
+        }
         let before = s.reserve_j;
-        s.advance_node(self.node, dt_s);
-        // Energy that flowed back into the shared reserve during the
-        // interval this call settled (zero for followers — the leader
-        // already accounted it).
+        s.advance(dt_s);
         let gained = s.reserve_j - before;
         if gained.is_finite() {
             gained.max(0.0)
@@ -535,59 +532,14 @@ impl PowerSupply for NodeSupplyView {
     }
 
     fn idle_recharge_many(&mut self, dt_s: f64, count: u64) -> f64 {
-        // Batched follower catch-up, mirroring `NodeThermalView`: one
-        // borrow, the idle draw recorded once (re-recording it per
-        // iteration is state-idempotent — the looped path stores the
-        // same value every call), and per-iteration clock arithmetic
-        // identical to `advance_node` (`t + dt_s` per step). A follower
-        // interval never moves the settlement frontier, so its gained
-        // energy is exactly zero — the same 0.0 the looped path sums.
-        // The moment an iteration would cross the frontier, the pool
-        // must settle: bail to the per-call path for the remainder.
-        let mut remaining = count;
-        {
-            let mut s = self.shared.borrow_mut();
-            let s = &mut *s;
-            let node = self.node;
-            s.node_draw_w[node] = self.idle_draw_w;
-            let settled = s.settled_to_s;
-            let t0 = s.node_time_s[node];
-            // Cross-node memo: for `dt_s >= 0` the clock sequence is
-            // non-decreasing, so a cached final clock at or inside the
-            // settlement frontier proves every intermediate target
-            // stayed inside it too — the loop below would have taken
-            // exactly these steps, gaining exactly zero.
-            if let (true, Some(c)) = (dt_s >= 0.0, s.replay_cache) {
-                if c.from == t0.to_bits()
-                    && c.dt == dt_s.to_bits()
-                    && c.count == count
-                    && c.to <= settled
-                {
-                    s.node_time_s[node] = c.to;
-                    return 0.0;
-                }
-            }
-            let mut t = t0;
-            while remaining > 0 {
-                let target = t + dt_s;
-                if target > settled {
-                    break;
-                }
-                t = target;
-                remaining -= 1;
-            }
-            s.node_time_s[node] = t;
-            if remaining == 0 && count > 0 && dt_s >= 0.0 {
-                s.replay_cache = Some(FollowerReplayCache {
-                    from: t0.to_bits(),
-                    dt: dt_s.to_bits(),
-                    count,
-                    to: t,
-                });
-            }
+        if self.node != 0 {
+            // Every looped call would store the same idle draw and gain
+            // nothing, so one store is the whole replay.
+            self.shared.borrow_mut().node_draw_w[self.node] = self.idle_draw_w;
+            return 0.0;
         }
         let mut gained = 0.0;
-        for _ in 0..remaining {
+        for _ in 0..count {
             gained += self.idle_recharge(dt_s);
         }
         gained
@@ -616,10 +568,10 @@ mod tests {
         let mut views: Vec<NodeSupplyView> = (0..4).map(|n| pool.node_view(n)).collect();
         // All four nodes draw 20 W: 80 W demand on a 40 W feed drains
         // the reserve at 40 J/s — if every call settled, it would
-        // drain 4x too fast. The first round settles with only the
-        // leader's draw recorded (followers land with one window of
-        // skew, like the thermal rack), so full-demand drain starts at
-        // round 2.
+        // drain 4x too fast. The first round settles with only node
+        // 0's draw recorded (the others land with one window of skew,
+        // like the thermal rack), so full-demand drain starts at round
+        // 2.
         for round in 1..=10 {
             for v in views.iter_mut() {
                 v.draw(20.0, 0.1).unwrap();
@@ -641,7 +593,7 @@ mod tests {
         let pool = pool4(40.0, 100.0);
         let mut v0 = pool.node_view(0);
         let mut v1 = pool.node_view(1);
-        // Leader settles the window with node 1's draw still at zero.
+        // Node 0 settles the window with node 1's draw still at zero.
         v0.draw(30.0, 1.0).unwrap();
         v1.draw(30.0, 1.0).unwrap();
         assert_eq!(pool.reserve_j(), 100.0, "first window: 30 W under cap");
@@ -699,7 +651,7 @@ mod tests {
         let pool = pool4(40.0, 10.0);
         let mut views: Vec<NodeSupplyView> = (0..4).map(|n| pool.node_view(n)).collect();
         // 60 W on a 40 W feed: rounds 2-5 settle the full demand (the
-        // first round sees only the leader's draw — follower skew), so
+        // first round sees only node 0's draw — one window of skew), so
         // 4 rounds drain 20 W x 0.05 s = 1 J each.
         for _ in 0..5 {
             for v in views.iter_mut() {
@@ -709,7 +661,7 @@ mod tests {
         assert!((pool.reserve_j() - 6.0).abs() < 1e-9);
         // Idle rack: recharge is capped by the 4 W limit, not the 40 W
         // of spare headroom. The first idle round still settles the
-        // followers' stale 15 W draws (45 W total: 0.25 J more out);
+        // other nodes' stale 15 W draws (45 W total: 0.25 J more out);
         // the remaining nine recharge 4 W x 0.05 s = 0.2 J each.
         let mut gained = 0.0;
         for _ in 0..10 {
@@ -721,6 +673,46 @@ mod tests {
         assert!((pool.reserve_j() - 7.55).abs() < 1e-9);
         assert!(pool.reserve_fraction() > 0.75 && pool.reserve_fraction() < 0.76);
         assert!(!pool.browned_out(), "recharge clears the brownout state");
+    }
+
+    #[test]
+    fn a_follower_records_its_draw_but_never_settles() {
+        let pool = pool4(40.0, 100.0);
+        let mut v0 = pool.node_view(0);
+        let mut v1 = pool.node_view(1).with_idle_draw_w(0.5);
+        // Node 0 drains 20 J: 60 W on the 40 W feed for 1 s.
+        v0.draw(60.0, 1.0).unwrap();
+        assert_eq!((pool.reserve_j(), pool.time_s()), (80.0, 1.0));
+        // Alone, and stepped past node 0's clock, a follower records
+        // its draw and settles nothing.
+        v1.draw(30.0, 2.0).unwrap();
+        assert_eq!(pool.node_draw_w(1), 30.0);
+        assert_eq!((pool.reserve_j(), pool.time_s()), (80.0, 1.0));
+        assert_eq!(v1.idle_recharge(2.0), 0.0);
+        assert_eq!(pool.node_draw_w(1), 0.5);
+        assert_eq!((pool.reserve_j(), pool.time_s()), (80.0, 1.0));
+        // Node 0's next window charges what was recorded: 0.5 W
+        // leaves the full 4 W recharge.
+        assert_eq!(v0.idle_recharge(1.0), 4.0);
+        assert_eq!((pool.reserve_j(), pool.time_s()), (84.0, 2.0));
+    }
+
+    #[test]
+    fn idle_recharge_many_replays_a_follower_as_one_record() {
+        let pool = pool4(40.0, 100.0);
+        let mut v0 = pool.node_view(0);
+        let mut v1 = pool.node_view(1).with_idle_draw_w(0.5);
+        v0.draw(60.0, 1.0).unwrap();
+        v0.idle_recharge(1.0);
+        assert_eq!((pool.reserve_j(), pool.time_s()), (84.0, 2.0));
+        // A follower's windows gain nothing and move nothing, however
+        // many there are; only its idle draw lands.
+        assert_eq!(v1.idle_recharge_many(1.0, 5), 0.0);
+        assert_eq!(pool.node_draw_w(1), 0.5);
+        assert_eq!((pool.reserve_j(), pool.time_s()), (84.0, 2.0));
+        // Node 0 settles each window in turn: 3 x 4 W x 1 s.
+        assert_eq!(v0.idle_recharge_many(1.0, 3), 12.0);
+        assert_eq!((pool.reserve_j(), pool.time_s()), (96.0, 5.0));
     }
 
     #[test]

@@ -16,8 +16,8 @@ use sprint_workloads::suite::{suite_loader, InputSize, WorkloadKind};
 /// A 1-node cluster is the same co-simulation as a standalone session:
 /// same machine, same grid, same controller decisions — byte for byte.
 /// This pins the whole port stack (node view power mapping, regional
-/// budget, leader-advance clock) against the code path every existing
-/// test already trusts.
+/// budget, node-0 clock) against the code path every existing test
+/// already trusts.
 #[test]
 fn one_node_cluster_reproduces_a_standalone_session_byte_for_byte() {
     // One server whose footprint covers the full rack floor, so the

@@ -332,9 +332,10 @@ fn task_conservation_holds_under_random_fault_plans() {
 }
 
 /// Steps both engines to a terminal outcome, asserting after every
-/// window that they agree on the outcome and on what a facility reads
-/// from a rack at each settlement barrier: its heat (bit for bit), its
-/// ready backlog and its sprint grants.
+/// window that they agree on the outcome, on what a facility reads
+/// from a rack at each settlement barrier — its heat (bit for bit), its
+/// ready backlog and its sprint grants — and on shared time: the rack's
+/// clock and, with a pool, the pool's clock and reserve (bit for bit).
 fn step_both_to_terminal(
     lockstep: &mut ClusterSession,
     event: &mut EventDrivenCluster,
@@ -361,6 +362,29 @@ fn step_both_to_terminal(
             e.sprinting_count(),
             "sprint grants at window {w}"
         );
+        assert_eq!(
+            lockstep.rack().time_s().to_bits(),
+            e.rack().time_s().to_bits(),
+            "rack clock at window {w}"
+        );
+        match (lockstep.supply(), e.supply()) {
+            (Some(l), Some(p)) => {
+                assert_eq!(
+                    l.time_s().to_bits(),
+                    p.time_s().to_bits(),
+                    "pool clock at window {w}"
+                );
+                assert_eq!(
+                    l.reserve_j().to_bits(),
+                    p.reserve_j().to_bits(),
+                    "pool reserve at window {w}: lockstep {} J, event {} J",
+                    l.reserve_j(),
+                    p.reserve_j(),
+                );
+            }
+            (None, None) => {}
+            _ => panic!("only one engine has a pool"),
+        }
         if outcome.is_terminal() {
             return outcome;
         }

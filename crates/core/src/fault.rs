@@ -27,9 +27,10 @@
 //! * **Idle paths are fault-transparent.** `idle_recharge` /
 //!   `idle_recharge_many` and `advance` / `advance_many` always
 //!   delegate — a faulted *sensor* lies about readings, it does not
-//!   change the physics, and a faulted *supply* still settles its
-//!   pool clock. Batched idle replay therefore stays bit-identical to
-//!   the looped path whatever the fault state.
+//!   change the physics, and a faulted *supply* still records its idle
+//!   draw on a shared pool (and, on node 0, settles it). Batched idle
+//!   replay therefore stays bit-identical to the looped path whatever
+//!   the fault state.
 //! * **Fault values are integer-derived.** [`FaultPlan::seeded`] draws
 //!   every stuck-at temperature, bias and collapse factor from integer
 //!   arithmetic mapped onto exactly-representable `f64`s, so a plan is
@@ -471,11 +472,11 @@ impl<T: ThermalModel> ThermalModel for FaultSensor<T> {
 }
 
 /// A supply port whose delivery can fault: a collapse inflates every
-/// draw, a brownout or death refuses delivery (while still settling
-/// the inner stack's clock with a zero-power draw, so shared-pool
-/// accounting stays causal). Idle recharge always delegates — idle
-/// paths are fault-transparent, which is what keeps batched idle
-/// replay bit-identical under any fault state.
+/// draw, a brownout or death refuses delivery (while still passing a
+/// zero-power draw through, so a shared pool records the node as
+/// drawing nothing and node 0 still settles the window). Idle recharge
+/// always delegates — idle paths are fault-transparent, which is what
+/// keeps batched idle replay bit-identical under any fault state.
 #[derive(Debug)]
 pub struct FaultSupply<S> {
     inner: S,
@@ -517,10 +518,10 @@ impl<S: PowerSupply> PowerSupply for FaultSupply<S> {
                 }
             }
             Some(SupplyFault::Brownout) | Some(SupplyFault::Dead) => {
-                // Deliver nothing, but keep the inner stack's clock
-                // settled: a shared-pool view must see this node's
-                // window elapse (at zero draw) or the pool's leader
-                // settlement would run ahead of it.
+                // Deliver nothing, but pass the window through at zero
+                // draw: a shared-pool view must record that this node
+                // draws nothing, and node 0's view settles the pool on
+                // this very call.
                 let _ = self.inner.draw(0.0, dt_s);
                 Err(SupplyError::CurrentLimit {
                     requested_w: power_w,

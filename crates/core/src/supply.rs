@@ -65,12 +65,12 @@ pub trait PowerSupply {
     /// seconds each, returning the total energy gained (joules). The
     /// default is literally a loop of [`idle_recharge`] calls summed
     /// with `+=` in call order, so every supply satisfies the
-    /// bit-for-bit contract by construction. Shared-state view types
-    /// (the rack pool's per-node views) override it to amortize their
-    /// per-call borrow, but only with arithmetic identical to the
-    /// looped path — the event-driven cluster core's idle catch-up
-    /// rides on this, and its digests are pinned byte-for-byte against
-    /// the lockstep oracle.
+    /// bit-for-bit contract by construction. An override must return
+    /// the same bits and leave the same state: the rack pool's per-node
+    /// views answer for any node but 0, which never settles the pool,
+    /// with one record of its idle draw and 0.0. The event-driven
+    /// cluster core's idle catch-up rides on this, and its digests are
+    /// pinned byte-for-byte against the lockstep oracle.
     ///
     /// [`idle_recharge`]: PowerSupply::idle_recharge
     fn idle_recharge_many(&mut self, dt_s: f64, count: u64) -> f64 {

@@ -1,5 +1,5 @@
 //! The coupled sprint system — the one-shot compatibility facade over
-//! [`SprintSession`](crate::session::SprintSession).
+//! [`SprintSession`].
 //!
 //! Mirrors the paper's methodology (Section 8.1): the machine runs in
 //! energy-sampling windows (1000 cycles); each window's dissipated energy

@@ -59,12 +59,12 @@ pub trait ThermalModel {
     /// seconds each. The default is literally a loop of [`advance`]
     /// calls, so every backend satisfies the bit-for-bit contract by
     /// construction: `advance_many(dt, n)` must leave the model in
-    /// exactly the state `n` successive `advance(dt)` calls would.
-    /// Backends with per-call overhead worth amortizing (shared-state
-    /// view types that pay a borrow per call) may override it, but only
-    /// with arithmetic identical to the looped path — this hook exists
-    /// for the event-driven cluster core's idle catch-up, whose digests
-    /// are pinned byte-for-byte against the lockstep oracle.
+    /// exactly the state `n` successive `advance(dt)` calls would. The
+    /// event-driven cluster core replays sleeping nodes' rests through
+    /// it, and its digests are pinned byte-for-byte against the
+    /// lockstep oracle. A rack's per-node views keep the default: only
+    /// node 0, which never sleeps, moves the shared grid, so a sleeping
+    /// node's `advance` is a no-op.
     ///
     /// [`advance`]: ThermalModel::advance
     fn advance_many(&mut self, dt_s: f64, count: u64) {
@@ -101,8 +101,8 @@ pub trait ThermalModel {
 /// The port in action: a session may borrow its backend instead of
 /// owning it. Every method forwards; `set_active_core_count` and
 /// `advance_many` forward explicitly so spatial backends keep their
-/// power maps and view types keep their batched fast paths (the trait
-/// defaults would silently drop both).
+/// power maps and an overriding backend keeps its batched path (the
+/// trait defaults would silently drop both).
 impl<T: ThermalModel + ?Sized> ThermalModel for &mut T {
     fn set_chip_power_w(&mut self, watts: f64) {
         (**self).set_chip_power_w(watts);

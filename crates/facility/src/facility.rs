@@ -708,15 +708,15 @@ impl FacilityBuilder {
         for rack in 0..self.racks {
             let plan = match (&self.rack_faults[rack], self.fault_rates) {
                 (Some(plan), _) => Some(plan.clone()),
-                (None, Some(rates)) => {
-                    let seed = self
-                        .fault_seed
-                        .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(rack as u64 + 1));
-                    Some(
-                        FaultPlan::seeded(seed, nodes, horizon_windows, rates)
-                            .with_response(self.fault_response),
+                (None, Some(rates)) => Some(
+                    FaultPlan::seeded(
+                        rack_seed(self.fault_seed, rack),
+                        nodes,
+                        horizon_windows,
+                        rates,
                     )
-                }
+                    .with_response(self.fault_response),
+                ),
                 (None, None) => None,
             };
             // Every rack's plan is vetted here: the rack-config check
@@ -772,13 +772,17 @@ impl FacilityBuilder {
     }
 }
 
+/// Rack `rack`'s own stream seed, mixed from a facility-wide `seed`:
+/// each rack steps a golden-ratio increment further along.
+fn rack_seed(seed: u64, rack: usize) -> u64 {
+    seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(rack as u64 + 1))
+}
+
 /// Derives rack `rack`'s traffic stream from the facility-wide base:
 /// distinct seed, rotated diurnal phase, an equal task share.
 fn rack_traffic(base: &TrafficParams, rack: usize, racks: usize) -> TrafficParams {
     let mut params = base.clone();
-    params.seed = base
-        .seed
-        .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(rack as u64 + 1));
+    params.seed = rack_seed(base.seed, rack);
     params.diurnal_phase = base.diurnal_phase + rack as f64 / racks as f64;
     params.tasks = base.tasks / racks + usize::from(rack < base.tasks % racks);
     params

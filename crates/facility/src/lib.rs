@@ -31,9 +31,9 @@
 //!   sprinting exploits). [`FacilityPolicy::GlobalRationed`] re-divides
 //!   the facility cap across racks every epoch, demand-weighted by each
 //!   rack's queue backlog and sprinting population and dealt in
-//!   sprint-slot quanta above a per-rack floor, by moving each
-//!   rack's live [`RackSupply`] cap; the rack's own
-//!   [`PowerPolicy`](sprint_cluster::PowerPolicy) admission then
+//!   sprint-slot quanta above a per-rack floor, by moving each rack's
+//!   live [`RackSupply`](sprint_cluster::RackSupply) cap; the rack's
+//!   own [`PowerPolicy`](sprint_cluster::PowerPolicy) admission then
 //!   enforces whatever share it was dealt.
 //!   [`FacilityPolicy::PerRack`] is the facility-oblivious baseline:
 //!   each rack keeps a fixed share forever — its commissioned nameplate

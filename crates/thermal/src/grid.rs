@@ -3,7 +3,7 @@
 //! Where [`crate::phone`] lumps the whole package into a handful of RC
 //! nodes, [`GridThermal`] discretizes each package layer (die, PCM,
 //! spreader, ...) into an `nx x ny` cell grid. Per-core power from a
-//! [`Floorplan`](crate::floorplan::Floorplan) is injected into the die
+//! [`Floorplan`] is injected into the die
 //! cells it overlaps, conducts laterally within layers and vertically
 //! between them, and finally convects from the last layer to the
 //! ambient. The payoff is *where* heat accumulates: active cores form

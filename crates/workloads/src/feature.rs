@@ -231,8 +231,6 @@ enum Phase {
 
 struct FeatureKernel {
     data: Arc<FeatureData>,
-    #[allow(dead_code)]
-    tid: usize,
     queue: u32,
     phase: Phase,
     rows: std::ops::Range<usize>,
@@ -249,7 +247,6 @@ impl FeatureKernel {
             rows,
             cols,
             data,
-            tid,
             queue,
             phase: Phase::RowPrefix,
         }
