@@ -195,6 +195,18 @@ pub enum Placement {
     CheapestHeadroom,
 }
 
+/// Whether a node can take work.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Health {
+    /// Serving.
+    Up,
+    /// Crashed while idle; `NodeRecover` brings it back up.
+    Down,
+    /// Crashed mid-task: its stranded threads retire it for the rest of
+    /// the run, whatever the plan says later.
+    Quarantined,
+}
+
 /// One server node's scheduling state.
 pub(crate) struct Node {
     pub(crate) session: SprintSession<FaultSensor<NodeThermalView>, Box<dyn PowerSupply>>,
@@ -205,6 +217,7 @@ pub(crate) struct Node {
     /// Whether the current task was admitted to sprint (sticky for the
     /// task's outcome even if the shed pass later preempts the node).
     pub(crate) sprinted: bool,
+    health: Health,
 }
 
 /// Where a submitted task stands on this rack. The three end states
@@ -541,6 +554,22 @@ pub fn check_fault_plan(plan: &FaultPlan, nodes: usize) -> Result<(), ClusterBui
     Ok(())
 }
 
+/// The task checks [`ClusterBuilder::try_build`] runs, in its order:
+/// every arrival finite and non-negative, every task at least one
+/// thread. Public so a tier that composes racks can vet every rack's
+/// queue before building any.
+pub fn check_tasks(tasks: &[ClusterTask]) -> Result<(), ClusterBuildError> {
+    for t in tasks {
+        if !(t.arrival_s.is_finite() && t.arrival_s >= 0.0) {
+            return Err(ClusterBuildError::BadTaskArrival);
+        }
+        if t.threads < 1 {
+            return Err(ClusterBuildError::ZeroThreadTask);
+        }
+    }
+    Ok(())
+}
+
 /// Composes a rack, per-node machines, a policy and a task queue into a
 /// [`ClusterSession`].
 pub struct ClusterBuilder {
@@ -755,14 +784,7 @@ impl ClusterBuilder {
                 });
             }
         }
-        for t in &self.tasks {
-            if !(t.arrival_s.is_finite() && t.arrival_s >= 0.0) {
-                return Err(ClusterBuildError::BadTaskArrival);
-            }
-            if t.threads < 1 {
-                return Err(ClusterBuildError::ZeroThreadTask);
-            }
-        }
+        check_tasks(&self.tasks)?;
         if let Some(plan) = &self.fault_plan {
             check_fault_plan(plan, self.rack_params.floorplan.core_count())?;
         }
@@ -810,24 +832,22 @@ impl ClusterBuilder {
         let mut sustained = self.config.clone();
         sustained.mode = ExecutionMode::Sustained;
         let window_s = self.config.sample_window_ps as f64 * 1e-12;
-        let fault_states: Vec<Rc<FaultState>> = (0..nodes_n)
-            .map(|_| Rc::new(FaultState::default()))
-            .collect();
         let nodes = (0..nodes_n)
             .map(|n| {
                 // Both ports wear the fault wrappers unconditionally:
                 // a healthy wrapper is a bit-identical passthrough, so
                 // plan-free clusters keep their pre-fault digests.
+                let fault = Rc::new(FaultState::default());
                 let supply: Box<dyn PowerSupply> =
                     match (&self.supply_params, &supply_pool, &self.node_supplies) {
                         (Some(params), Some(pool), _) => Box::new(FaultSupply::new(
                             params.node_supply(pool, n),
-                            Rc::clone(&fault_states[n]),
+                            Rc::clone(&fault),
                         )),
                         (_, _, Some(factory)) => {
-                            Box::new(FaultSupply::new(factory(n), Rc::clone(&fault_states[n])))
+                            Box::new(FaultSupply::new(factory(n), Rc::clone(&fault)))
                         }
-                        _ => Box::new(FaultSupply::new(IdealSupply, Rc::clone(&fault_states[n]))),
+                        _ => Box::new(FaultSupply::new(IdealSupply, Rc::clone(&fault))),
                     };
                 let machine_config = match &self.node_specs {
                     Some(specs) => specs[n].machine.clone(),
@@ -836,7 +856,7 @@ impl ClusterBuilder {
                 Node {
                     session: SprintSession::new(
                         Machine::new(machine_config),
-                        FaultSensor::new(rack.node_view(n), Rc::clone(&fault_states[n])),
+                        FaultSensor::new(rack.node_view(n), fault),
                         supply,
                         sustained.clone(),
                         self.trace_capacity,
@@ -845,6 +865,7 @@ impl ClusterBuilder {
                     task: None,
                     assigned_s: 0.0,
                     sprinted: false,
+                    health: Health::Up,
                 }
             })
             .collect();
@@ -881,12 +902,8 @@ impl ClusterBuilder {
             events: Vec::new(),
             grant_order: Vec::new(),
             peak_junction_c: f64::NEG_INFINITY,
-            temps_buf: vec![0.0; nodes_n],
             fault_plan: self.fault_plan,
             next_fault: 0,
-            fault_states,
-            node_down: vec![false; nodes_n],
-            node_quarantined: vec![false; nodes_n],
             requeue: Vec::new(),
             next_requeue: 0,
             requeue_seq: 0,
@@ -933,20 +950,10 @@ pub struct ClusterSession {
     /// Sprinting nodes, oldest admission first (round-robin shed order).
     pub(crate) grant_order: Vec<usize>,
     peak_junction_c: f64,
-    /// Per-window node temperatures (reused; no per-step allocation).
-    temps_buf: Vec<f64>,
     /// The installed fault plan, if any (window-stamped, sorted).
     fault_plan: Option<FaultPlan>,
     /// Cursor into the plan's event list.
     next_fault: usize,
-    /// Per-node fault state, shared with each node's wrapped thermal
-    /// and supply ports.
-    fault_states: Vec<Rc<FaultState>>,
-    /// Nodes currently crashed (cleared by `NodeRecover` unless
-    /// quarantined).
-    node_down: Vec<bool>,
-    /// Nodes permanently retired after crashing mid-task.
-    node_quarantined: Vec<bool>,
     /// Crash-retry queue: `(due window, insertion seq, task)`, sorted;
     /// `next_requeue` is the drain cursor (mirroring `next_arrival`).
     requeue: Vec<(u64, u64, usize)>,
@@ -1082,7 +1089,6 @@ impl ClusterSession {
         // a sensor or places work.
         self.apply_faults();
         let now = self.now_s();
-        self.sense_temps();
         // 1. Arrivals, then crash-retry requeues whose backoff expired.
         self.pop_arrivals(now);
         self.pop_requeues();
@@ -1102,15 +1108,6 @@ impl ClusterSession {
         } else {
             ClusterOutcome::Running
         }
-    }
-
-    /// Refreshes the per-node temperature snapshot the scheduler
-    /// passes read (the slice-based accessor keeps this
-    /// allocation-free), then overlays what faulted sensors actually
-    /// report.
-    pub(crate) fn sense_temps(&mut self) {
-        self.rack.node_temps_c_into(&mut self.temps_buf);
-        self.mask_faulted_temps();
     }
 
     /// Ends the current window: advances the clock and samples the
@@ -1225,6 +1222,7 @@ impl ClusterSession {
             self.next_fault += 1;
             self.fault_events_applied += 1;
             let node = ev.node as usize;
+            let fault = self.nodes[node].session.thermal().state();
             match ev.kind {
                 FaultKind::SensorStuck(v) => {
                     self.sensor_fault_on(node, SensorFault::StuckAt(v), response)
@@ -1235,26 +1233,28 @@ impl ClusterSession {
                 FaultKind::SensorDropout => {
                     self.sensor_fault_on(node, SensorFault::Dropout, response)
                 }
-                FaultKind::SensorClear => self.fault_states[node].set_sensor(None),
+                FaultKind::SensorClear => fault.set_sensor(None),
                 FaultKind::SupplyCollapse(scale) => {
+                    fault.set_supply(Some(SupplyFault::Collapsed(scale)));
                     self.supply_fault_count += 1;
-                    self.fault_states[node].set_supply(Some(SupplyFault::Collapsed(scale)));
                 }
                 FaultKind::SupplyBrownout => {
+                    fault.set_supply(Some(SupplyFault::Brownout));
                     self.supply_fault_count += 1;
-                    self.fault_states[node].set_supply(Some(SupplyFault::Brownout));
                 }
                 FaultKind::SupplyDead => {
+                    fault.set_supply(Some(SupplyFault::Dead));
                     self.supply_fault_count += 1;
-                    self.fault_states[node].set_supply(Some(SupplyFault::Dead));
                 }
                 // Dead-sticky: `FaultState::set_supply` ignores the
                 // clear when the regulator died outright.
-                FaultKind::SupplyClear => self.fault_states[node].set_supply(None),
+                FaultKind::SupplyClear => fault.set_supply(None),
                 FaultKind::NodeCrash => self.crash_node(node, response, max_retries, backoff),
+                // A quarantined node stays retired.
                 FaultKind::NodeRecover => {
-                    if !self.node_quarantined[node] {
-                        self.node_down[node] = false;
+                    let health = &mut self.nodes[node].health;
+                    if *health == Health::Down {
+                        *health = Health::Up;
                     }
                 }
             }
@@ -1268,7 +1268,8 @@ impl ClusterSession {
     /// (the throttle analogue of `HotspotPolicy`'s hardware failsafe).
     fn sensor_fault_on(&mut self, node: usize, fault: SensorFault, response: FaultResponse) {
         self.sensor_fault_count += 1;
-        self.fault_states[node].set_sensor(Some(fault));
+        let state = self.nodes[node].session.thermal().state();
+        state.set_sensor(Some(fault));
         if response == FaultResponse::Aware && self.is_sprinting(node) {
             self.nodes[node].session.preempt_sprint();
             self.failsafe_preemptions += 1;
@@ -1286,15 +1287,15 @@ impl ClusterSession {
     /// queue after an exponential window backoff, up to the plan's
     /// retry budget; past that it is recorded failed.
     fn crash_node(&mut self, node: usize, response: FaultResponse, max_retries: u32, backoff: u64) {
-        if self.node_down[node] || self.node_quarantined[node] {
+        if self.nodes[node].health != Health::Up {
             return;
         }
         self.node_crash_count += 1;
-        self.node_down[node] = true;
+        self.nodes[node].health = Health::Down;
         let Some(task) = self.nodes[node].task.take() else {
             return;
         };
-        self.node_quarantined[node] = true;
+        self.nodes[node].health = Health::Quarantined;
         if response == FaultResponse::Aware {
             if let Some(pool) = &self.supply {
                 pool.decommission_node(node);
@@ -1323,45 +1324,41 @@ impl ClusterSession {
         }
     }
 
-    /// Overlays faulted sensors onto the per-window temperature
-    /// snapshot. Aware scheduling substitutes the failsafe reading
-    /// (treat-as-hot: `t_max`, zero admission headroom); oblivious
-    /// scheduling consumes whatever the broken sensor reports —
-    /// including a stuck-cold value that makes a hot node look like
-    /// the best sprint candidate in the rack.
-    fn mask_faulted_temps(&mut self) {
-        let Some(plan) = self.fault_plan.as_ref() else {
-            return;
-        };
-        let aware = plan.response == FaultResponse::Aware;
-        for i in 0..self.nodes.len() {
-            if let Some(fault) = self.fault_states[i].sensor() {
-                self.temps_buf[i] = if aware {
-                    self.nodes[i].session.thermal().t_max_c()
-                } else {
-                    match fault {
-                        SensorFault::StuckAt(v) => v,
-                        SensorFault::Bias(d) => self.temps_buf[i] + d,
-                        SensorFault::Dropout => f64::NAN,
-                    }
-                };
-            }
+    /// The temperature the scheduler passes read for `node`, Celsius:
+    /// what the node's `FaultSensor` reports — oblivious scheduling
+    /// believes a broken sensor, even a stuck-cold one that makes a hot
+    /// node look like the best sprint candidate in the rack — except
+    /// that aware scheduling reads a faulted sensor as `t_max`
+    /// (treat-as-hot: zero admission headroom).
+    fn sensed_temp_c(&self, node: usize) -> f64 {
+        let sensor = self.nodes[node].session.thermal();
+        if self.distrusts_sensor(node) {
+            sensor.t_max_c()
+        } else {
+            sensor.junction_temp_c()
         }
     }
 
-    /// Whether the installed fault plan reacts to faults
-    /// ([`FaultResponse::Aware`]); false without a plan.
-    fn fault_aware(&self) -> bool {
-        self.fault_plan
-            .as_ref()
-            .is_some_and(|p| p.response == FaultResponse::Aware)
+    /// Whether aware scheduling distrusts `node`'s telemetry: the plan
+    /// is [`FaultResponse::Aware`] and the node's sensor is faulted.
+    fn distrusts_sensor(&self, node: usize) -> bool {
+        let aware = self.fault_plan.as_ref().map(|p| p.response) == Some(FaultResponse::Aware);
+        let sensor = self.nodes[node].session.thermal();
+        aware && sensor.state().sensor().is_some()
+    }
+
+    /// Nodes retired after crashing mid-task.
+    fn quarantined_nodes(&self) -> usize {
+        self.nodes
+            .iter()
+            .filter(|n| n.health == Health::Quarantined)
+            .count()
     }
 
     /// Fraction of the fleet not quarantined, in `(0, 1]` — the
     /// degradation signal a facility tier re-deals the feed by.
     pub fn alive_fraction(&self) -> f64 {
-        let quarantined = self.node_quarantined.iter().filter(|&&q| q).count();
-        (self.nodes.len() - quarantined) as f64 / self.nodes.len() as f64
+        (self.nodes.len() - self.quarantined_nodes()) as f64 / self.nodes.len() as f64
     }
 
     /// Executes node `i`'s share of the current window: one session
@@ -1488,7 +1485,7 @@ impl ClusterSession {
                 .iter()
                 .filter(|&&s| s == TaskStatus::Failed)
                 .count(),
-            quarantined_nodes: self.node_quarantined.iter().filter(|&&q| q).count(),
+            quarantined_nodes: self.quarantined_nodes(),
             outstanding_tasks: self.outstanding_tasks(),
             outcomes: self.outcomes.clone(),
             node_reports: self.nodes.iter().map(|n| n.session.report()).collect(),
@@ -1552,13 +1549,11 @@ impl ClusterSession {
         while !self.ready.is_empty() {
             // Down and quarantined nodes cannot take work in either
             // response mode — a crashed server is gone, not slow.
-            let down = &self.node_down;
-            let quarantined = &self.node_quarantined;
             let mut idle: Vec<usize> = self
                 .nodes
                 .iter()
                 .enumerate()
-                .filter(|&(i, n)| n.task.is_none() && !down[i] && !quarantined[i])
+                .filter(|&(_, n)| n.task.is_none() && n.health == Health::Up)
                 .map(|(i, _)| i)
                 .collect();
             if idle.is_empty() {
@@ -1568,13 +1563,14 @@ impl ClusterSession {
             match self.placement {
                 Placement::PolicyDefault => {
                     if self.policy.places_coolest_first() {
-                        let temps = &self.temps_buf;
-                        idle.sort_by(|&a, &b| {
-                            temps[a]
-                                .partial_cmp(&temps[b])
+                        let mut keyed: Vec<(f64, usize)> =
+                            idle.iter().map(|&n| (self.sensed_temp_c(n), n)).collect();
+                        keyed.sort_by(|a, b| {
+                            a.0.partial_cmp(&b.0)
                                 .unwrap_or(std::cmp::Ordering::Equal)
-                                .then(a.cmp(&b))
+                                .then(a.1.cmp(&b.1))
                         });
+                        idle = keyed.into_iter().map(|(_, n)| n).collect();
                     }
                 }
                 Placement::CheapestHeadroom => {
@@ -1628,14 +1624,14 @@ impl ClusterSession {
     /// already consumed, plus (on a shared feed) its live upstream
     /// draw over its *nameplate* share — both dimensionless, so a node
     /// that is thermally cool but electrically over-share ranks behind
-    /// one comfortable on both axes. A broken sensor (NaN snapshot)
+    /// one comfortable on both axes. A dropped-out sensor (NaN reading)
     /// reads as maximally hot: placement avoids what it cannot see.
     fn placement_cost(&self, node: usize) -> f64 {
         let thermal_port = self.nodes[node].session.thermal();
         let ambient = thermal_port.ambient_c();
         let range = thermal_port.t_max_c() - ambient;
         let mut thermal = if range > 0.0 {
-            ((self.temps_buf[node] - ambient) / range).clamp(0.0, 1.0)
+            ((self.sensed_temp_c(node) - ambient) / range).clamp(0.0, 1.0)
         } else {
             1.0
         };
@@ -1661,24 +1657,24 @@ impl ClusterSession {
     /// gate must both clear — a task denied on either axis defers under
     /// the same sprint-or-defer machinery.
     fn admits_on(&self, node: usize) -> bool {
-        if self.node_down[node] || self.node_quarantined[node] {
+        if self.nodes[node].health != Health::Up {
             return false;
         }
         // Aware scheduling never grants a sprint on a node whose
-        // telemetry is known-bad: the masked snapshot already reads
-        // t_max (zero headroom), but headroom-blind policies like
+        // telemetry is known-bad: its sensed reading is already t_max
+        // (zero headroom), but headroom-blind policies like
         // `AllSprint` need the explicit veto too.
-        if self.fault_aware() && self.fault_states[node].sensor().is_some() {
+        if self.distrusts_sensor(node) {
             return false;
         }
         let allowance = self
             .policy
             .max_sprinting_at(self.nodes.len(), self.rack.headroom_k());
-        let sprinting = self.sprinting_nodes();
-        let node_headroom = self.nodes[node].session.thermal().t_max_c() - self.temps_buf[node];
-        self.policy
-            .admits(node_headroom, sprinting.len(), allowance)
-            && self.power_admits(&sprinting)
+        let sprinting = (0..self.nodes.len())
+            .filter(|&n| self.is_sprinting(n))
+            .count();
+        let node_headroom = self.nodes[node].session.thermal().t_max_c() - self.sensed_temp_c(node);
+        self.policy.admits(node_headroom, sprinting, allowance) && self.power_admits()
     }
 
     /// The power gate: under rationing, one more provisioned sprint
@@ -1686,7 +1682,7 @@ impl ClusterSession {
     /// policy's provisioned draw (their telemetry lags admission by the
     /// ramp — booking, not measuring, is what keeps the scheduler ahead
     /// of the physics); everyone else is carried at live telemetry.
-    fn power_admits(&self, sprinting: &[usize]) -> bool {
+    fn power_admits(&self) -> bool {
         let PowerPolicy::Rationed { sprint_draw_w, .. } = self.power else {
             return true;
         };
@@ -1696,7 +1692,7 @@ impl ClusterSession {
             .expect("rationing requires a pool (enforced at build)");
         let provisioned: f64 = (0..self.nodes.len())
             .map(|n| {
-                if sprinting.contains(&n) {
+                if self.is_sprinting(n) {
                     sprint_draw_w
                 } else {
                     pool.node_draw_w(n)
@@ -1759,9 +1755,9 @@ impl ClusterSession {
         if sprinting.len() <= allowance {
             return;
         }
-        let order = self
-            .policy
-            .shed_order(&sprinting, &self.temps_buf, &self.grant_order);
+        let order =
+            self.policy
+                .shed_order(&sprinting, |n| self.sensed_temp_c(n), &self.grant_order);
         let excess = sprinting.len() - allowance;
         for &node in order.iter().take(excess) {
             self.nodes[node].session.preempt_sprint();
@@ -1798,10 +1794,9 @@ impl ClusterSession {
             return;
         }
         let sprinting = self.sprinting_nodes();
-        let draws: Vec<f64> = (0..self.nodes.len()).map(|n| pool.node_draw_w(n)).collect();
         let order = self
             .policy
-            .shed_order(&sprinting, &draws, &self.grant_order);
+            .shed_order(&sprinting, |n| pool.node_draw_w(n), &self.grant_order);
         let mut total = pool.total_draw_w();
         for &node in &order {
             if total <= pool.cap_w() {
@@ -1817,7 +1812,7 @@ impl ClusterSession {
             // credit only the over-share excess — an emergency pass
             // should err toward shedding one node too many, never one
             // too few.
-            total -= (draws[node] - pool.nameplate_share_w(node)).max(0.0);
+            total -= (pool.node_draw_w(node) - pool.nameplate_share_w(node)).max(0.0);
             self.events.push(ClusterEvent::PowerShed {
                 node,
                 at_s: now,

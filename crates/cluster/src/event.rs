@@ -17,16 +17,18 @@
 //! * **Arrivals** run when the next pending task's arrival time has
 //!   come or the next crash-retry's backoff has expired — the very
 //!   predicates the arrival and requeue pops stop on.
-//! * **The scheduler passes** (temperature snapshot, assignment, the
-//!   thermal and power shed passes) run when faults or arrivals fired,
-//!   or when the passes could observe or mutate anything: the ready
-//!   queue or the grant rotation is non-empty, or a busy node is
-//!   ramping or sprinting. On any other window they are provably
-//!   side-effect-free. Only [`EventDrivenCluster::inject_task`] (which
-//!   grows the ready queue) and
-//!   [`EventDrivenCluster::drain_stranded_requeues`] reach the session
-//!   between windows, so checking at the start of a window sees what
-//!   the end of the previous one left.
+//! * **The scheduler passes** (assignment, the thermal and power shed
+//!   passes) run when faults or arrivals fired, or when the passes
+//!   could observe or mutate anything: the ready queue or the grant
+//!   rotation is non-empty, or a busy node is ramping or sprinting. On
+//!   any other window they are provably side-effect-free. They read
+//!   each node's sensor on demand, and nothing advances the grid or a
+//!   fault state between the fault phase and the node phase, so they
+//!   read what the lockstep passes read. Only
+//!   [`EventDrivenCluster::inject_task`] (which grows the ready queue)
+//!   and [`EventDrivenCluster::drain_stranded_requeues`] reach the
+//!   session between windows, so checking at the start of a window
+//!   sees what the end of the previous one left.
 //! * **The node phase** is one ascending loop over node 0, the busy
 //!   list and the owed list. Node 0 is the settlement leader: its
 //!   advance integrates the shared grid and settles the supply pool,
@@ -211,7 +213,6 @@ impl EventDrivenCluster {
         // The failsafe may preempt a sprint and a crash may free a
         // node, so a fault window always runs the scheduler passes.
         if faults || arrivals || self.scheduler_armed() {
-            self.inner.sense_temps();
             if arrivals {
                 self.inner.pop_arrivals(now);
                 self.inner.pop_requeues();

@@ -112,13 +112,19 @@
 //! bit-identical passthroughs until a window-stamped
 //! `sprint_core::fault::FaultPlan` (installed via
 //! [`cluster::ClusterBuilder::fault_plan`]) flips them. The scheduler
-//! *degrades instead of corrupting*: a faulted sensor reads as
-//! already-at-the-limit under `FaultResponse::Aware` (conservative
-//! treat-as-hot failsafe, mid-sprint preemption included), a crashed
+//! reads each node's temperature through that node's `FaultSensor`, so
+//! what a stuck, biased or dropped-out sensor reports is defined there
+//! alone, and oblivious scheduling believes it. The scheduler
+//! *degrades instead of corrupting* under `FaultResponse::Aware`: a
+//! faulted sensor reads as already-at-the-limit (conservative
+//! treat-as-hot failsafe, mid-sprint preemption included) — the one
+//! rule it adds on top of the port, in `ClusterSession`'s private
+//! sensed-reading accessor and admission veto. A crashed
 //! node's in-flight task re-enters the queue with a bounded retry
-//! budget and exponential window backoff, mid-task crashes quarantine
-//! the node and return its nameplate share to the rack pool
-//! ([`supply::RackSupply::decommission_node`]), and
+//! budget and exponential window backoff, a mid-task crash quarantines
+//! the node for the rest of the run (Aware scheduling also returns its
+//! nameplate share to the rack pool,
+//! [`supply::RackSupply::decommission_node`]), and
 //! [`cluster::ClusterReport`] accounts every submitted task as
 //! completed, failed-after-retries, or outstanding — never lost
 //! ([`cluster::ClusterReport::task_conservation_holds`]). The event
@@ -185,7 +191,7 @@ pub mod rack;
 pub mod supply;
 
 pub use cluster::{
-    check_fault_plan, ClusterBuildError, ClusterBuilder, ClusterEvent, ClusterOutcome,
+    check_fault_plan, check_tasks, ClusterBuildError, ClusterBuilder, ClusterEvent, ClusterOutcome,
     ClusterReport, ClusterSession, NodeSpec, Placement,
 };
 pub use event::EventDrivenCluster;

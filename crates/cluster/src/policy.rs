@@ -260,17 +260,20 @@ impl ClusterPolicy {
     }
 
     /// Orders the currently sprinting nodes for preemption, most
-    /// expendable first. `sprinting` lists node indices;
-    /// `node_temps_c[n]` is node `n`'s hotspot; `grant_order` lists the
-    /// same nodes oldest-grant-first (the cluster session maintains
-    /// it). Greedy and competitive policies shed hottest-first (ties
-    /// by lower index, so the order is fully deterministic); round-
-    /// robin sheds oldest grant first; the baselines never shed (their
-    /// allowance can't be exceeded) but order deterministically anyway.
+    /// expendable first. `sprinting` lists node indices; `reading(n)`
+    /// is node `n`'s ranking reading — its sensed temperature for the
+    /// thermal shed pass, its upstream draw for the power emergency —
+    /// taken once per sprinting node; `grant_order` lists the same
+    /// nodes oldest-grant-first (the cluster session maintains it).
+    /// Greedy and competitive policies shed the highest reading first
+    /// (ties by lower index, so the order is fully deterministic);
+    /// round-robin sheds oldest grant first and reads nothing; the
+    /// baselines never shed (their allowance can't be exceeded) but
+    /// order deterministically anyway.
     pub fn shed_order(
         &self,
         sprinting: &[usize],
-        node_temps_c: &[f64],
+        reading: impl Fn(usize) -> f64,
         grant_order: &[usize],
     ) -> Vec<usize> {
         match self {
@@ -280,17 +283,17 @@ impl ClusterPolicy {
                 .copied()
                 .collect(),
             _ => {
-                let mut order: Vec<usize> = sprinting.to_vec();
-                // Hottest first; equal temperatures break toward the
-                // lower node index so the order never depends on the
+                let mut keyed: Vec<(f64, usize)> =
+                    sprinting.iter().map(|&n| (reading(n), n)).collect();
+                // Highest first; equal readings break toward the lower
+                // node index so the order never depends on the
                 // incoming arrangement.
-                order.sort_by(|&a, &b| {
-                    node_temps_c[b]
-                        .partial_cmp(&node_temps_c[a])
+                keyed.sort_by(|a, b| {
+                    b.0.partial_cmp(&a.0)
                         .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.cmp(&b))
+                        .then(a.1.cmp(&b.1))
                 });
-                order
+                keyed.into_iter().map(|(_, n)| n).collect()
             }
         }
     }
@@ -398,7 +401,7 @@ mod tests {
     fn shed_order_is_hottest_first_with_index_ties() {
         let p = ClusterPolicy::greedy_default();
         let temps = [50.0, 61.0, 55.0, 61.0];
-        let order = p.shed_order(&[0, 1, 2, 3], &temps, &[0, 1, 2, 3]);
+        let order = p.shed_order(&[0, 1, 2, 3], |n| temps[n], &[0, 1, 2, 3]);
         assert_eq!(order, vec![1, 3, 2, 0]);
     }
 
@@ -407,7 +410,7 @@ mod tests {
         let p = ClusterPolicy::RoundRobin { max_sprinting: 4 };
         let temps = [90.0, 10.0, 50.0, 70.0];
         // Grant order 2, 0, 3 (node 1 is not sprinting).
-        let order = p.shed_order(&[0, 2, 3], &temps, &[2, 0, 3]);
+        let order = p.shed_order(&[0, 2, 3], |n| temps[n], &[2, 0, 3]);
         assert_eq!(order, vec![2, 0, 3], "rotation order, not temperature");
     }
 

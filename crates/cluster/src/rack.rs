@@ -140,16 +140,6 @@ impl RackThermal {
         s.grid.t_max_c() - s.grid.junction_temp_c()
     }
 
-    /// Writes each node's current hotspot temperature into `out`
-    /// (non-allocating; the scheduler polls this every window).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `out.len()` equals the node count.
-    pub fn node_temps_c_into(&self, out: &mut [f64]) {
-        self.shared.borrow().grid.core_temps_c_into(out);
-    }
-
     /// One node's *live*, temperature-aware regional sprint budget,
     /// joules — the rack-telemetry reading the cluster scheduler may
     /// act on (node-local governors only ever see the nameplate figure;

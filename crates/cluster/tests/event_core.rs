@@ -460,3 +460,137 @@ fn into_session_resumes_lockstep_exactly() {
     assert_eq!(a, b);
     assert_eq!(lockstep.report().digest(), handed_back.report().digest());
 }
+
+/// Runs `build()` on both steppers, window by window, to a drained
+/// queue and returns the lockstep report and alive fraction after
+/// checking that the event core reproduced both.
+fn drain_both(build: impl Fn() -> ClusterSession) -> (ClusterReport, f64) {
+    let mut lockstep = build();
+    let mut event = EventDrivenCluster::new(build());
+    assert_eq!(
+        step_both_to_terminal(&mut lockstep, &mut event),
+        ClusterOutcome::Drained
+    );
+    let report = lockstep.report();
+    assert_eq!(report.digest(), event.report().digest());
+    assert_eq!(
+        lockstep.alive_fraction().to_bits(),
+        event.session().alive_fraction().to_bits()
+    );
+    (report, lockstep.alive_fraction())
+}
+
+/// One 16-thread task arriving at 2 µs on a cold two-node rack, with
+/// `fault` (if any) applied at window 0: the node the task ran on and
+/// whether it sprinted.
+fn sensed_placement(fault: Option<(u32, FaultKind)>, response: FaultResponse) -> (usize, bool) {
+    let events: Vec<FaultEvent> = fault
+        .map(|(node, kind)| FaultEvent {
+            window: 0,
+            node,
+            kind,
+        })
+        .into_iter()
+        .collect();
+    let (report, _) = drain_both(|| {
+        ClusterBuilder::new(GridThermalParams::rack(2, 1).time_scaled(3000.0))
+            .policy(ClusterPolicy::GreedyHeadroom {
+                admit_headroom_k: 15.0,
+                shed_headroom_k: 4.0,
+                min_sprinting: 1,
+                defer_s: 0.0,
+            })
+            .tasks([ClusterTask::new(
+                WorkloadKind::Sobel,
+                InputSize::A,
+                16,
+                2e-6,
+            )])
+            .fault_plan(FaultPlan::new(events.clone()).with_response(response))
+            .trace_capacity(0)
+            .build()
+    });
+    assert_eq!(report.completed, 1);
+    (report.outcomes[0].node, report.outcomes[0].sprinted)
+}
+
+/// The scheduler reads each node's sensor through its fault port.
+/// Oblivious scheduling believes the sensor: a stuck-cold node looks
+/// coolest, a biased one looks hot, and a dropped-out one (NaN) places
+/// by index but clears no admission gate, so the task runs sustained.
+/// Aware scheduling reads every faulted sensor as at the limit, so the
+/// task sprints on the healthy node.
+#[test]
+fn scheduler_reads_each_sensor_through_its_fault_port() {
+    use FaultResponse::{Aware, Oblivious};
+    let table = [
+        (None, (0, true), (0, true)),
+        (
+            Some((1, FaultKind::SensorStuck(10.0))),
+            (1, true),
+            (0, true),
+        ),
+        (Some((0, FaultKind::SensorBias(30.0))), (1, true), (1, true)),
+        (Some((0, FaultKind::SensorDropout)), (0, false), (1, true)),
+    ];
+    for (fault, oblivious, aware) in table {
+        assert_eq!(
+            sensed_placement(fault, Oblivious),
+            oblivious,
+            "{fault:?} under Oblivious: (node, sprinted)"
+        );
+        assert_eq!(
+            sensed_placement(fault, Aware),
+            aware,
+            "{fault:?} under Aware: (node, sprinted)"
+        );
+    }
+}
+
+/// A node quarantined by a mid-task crash stays retired when the plan
+/// later recovers it: its stranded threads still hold the machine. Node
+/// 0 crashes busy (quarantined, its task requeued), node 1 crashes idle
+/// and recovers, and node 0's own recover event changes nothing, so
+/// every task runs on node 1.
+#[test]
+fn quarantine_survives_node_recover() {
+    let ev = |window: u64, node: u32, kind: FaultKind| FaultEvent { window, node, kind };
+    for response in [FaultResponse::Aware, FaultResponse::Oblivious] {
+        let (report, alive) = drain_both(|| {
+            ClusterBuilder::new(GridThermalParams::rack(2, 1).time_scaled(3000.0))
+                .policy(ClusterPolicy::greedy_default())
+                .tasks(ClusterTask::arrivals(
+                    WorkloadKind::Sobel,
+                    InputSize::A,
+                    16,
+                    4,
+                    0.0,
+                    20e-6,
+                ))
+                .fault_plan(
+                    FaultPlan::new(vec![
+                        ev(5, 0, FaultKind::NodeCrash),
+                        ev(6, 1, FaultKind::NodeCrash),
+                        ev(7, 1, FaultKind::NodeRecover),
+                        ev(8, 0, FaultKind::NodeRecover),
+                    ])
+                    .with_retries(3, 4)
+                    .with_response(response),
+                )
+                .trace_capacity(0)
+                .build()
+        });
+        assert_eq!(report.completed, 4, "{response:?}");
+        for o in &report.outcomes {
+            assert_eq!(
+                o.node, 1,
+                "{response:?}: task {} ran on a retired node",
+                o.task
+            );
+        }
+        assert_eq!(report.quarantined_nodes, 1, "{response:?}");
+        assert_eq!(report.node_crashes, 2, "{response:?}");
+        assert_eq!(report.requeues, 1, "{response:?}");
+        assert_eq!(alive, 0.5, "{response:?}");
+    }
+}

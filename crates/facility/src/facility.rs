@@ -8,8 +8,9 @@ use std::{panic, thread};
 use serde::{Deserialize, Serialize};
 use sprint_archsim::config::MachineConfig;
 use sprint_cluster::{
-    check_fault_plan, ClusterBuildError, ClusterBuilder, ClusterOutcome, ClusterPolicy,
-    ClusterReport, ClusterSession, ClusterTask, NodeSpec, Placement, PowerPolicy, RackSupplyParams,
+    check_fault_plan, check_tasks, ClusterBuildError, ClusterBuilder, ClusterOutcome,
+    ClusterPolicy, ClusterReport, ClusterSession, ClusterTask, NodeSpec, Placement, PowerPolicy,
+    RackSupplyParams,
 };
 use sprint_core::config::SprintConfig;
 use sprint_core::fault::{FaultPlan, FaultRates, FaultResponse};
@@ -610,8 +611,9 @@ impl FacilityBuilder {
     /// supplies or a facility cap, or with a cap/floor the racks cannot
     /// satisfy; a row coupling whose inlet ceiling violates a rack's
     /// thermal limit or PCM melting point; traffic with fewer tasks
-    /// than racks; a fault plan targeting nodes a rack does not have;
-    /// or a rack config any [`ClusterBuilder`] check rejects.
+    /// than racks; a fault plan targeting nodes a rack does not have; a
+    /// task on any rack with a bad arrival or no threads; or a rack
+    /// config any [`ClusterBuilder`] check rejects.
     pub fn try_build(self) -> Result<Facility, FacilityBuildError> {
         if self.epoch_windows < 1 {
             return Err(FacilityBuildError::ZeroEpochWindows);
@@ -719,8 +721,8 @@ impl FacilityBuilder {
                 ),
                 (None, None) => None,
             };
-            // Every rack's plan is vetted here: the rack-config check
-            // below builds rack 0 only.
+            // Every rack's plan (and, below, its task list) is vetted
+            // here: the rack-config check at the end builds rack 0 only.
             if let Some(plan) = &plan {
                 check_fault_plan(plan, nodes)?;
             }
@@ -742,6 +744,7 @@ impl FacilityBuilder {
             } else {
                 Vec::new()
             };
+            check_tasks(&tasks)?;
             specs.push(RackSpec {
                 thermal: self.thermal.clone(),
                 machine: self.machine.clone(),

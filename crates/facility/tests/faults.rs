@@ -5,11 +5,14 @@
 //! after retries, or outstanding at the time limit, on the cluster
 //! *and* the facility merge path.
 
-use sprint_cluster::{ClusterBuildError, ClusterPolicy, PowerPolicy, RackSupplyParams};
+use sprint_cluster::{
+    ClusterBuildError, ClusterPolicy, ClusterTask, PowerPolicy, RackSupplyParams,
+};
 use sprint_core::config::SprintConfig;
 use sprint_core::fault::{FaultEvent, FaultKind, FaultPlan, FaultRates, FaultResponse};
 use sprint_facility::prelude::*;
 use sprint_thermal::grid::GridThermalParams;
+use sprint_workloads::suite::{InputSize, WorkloadKind};
 use sprint_workloads::traffic::TrafficParams;
 
 /// Fault rates sized to the fixture's ~10k-window horizon: enough
@@ -231,4 +234,29 @@ fn facility_build_errors_are_typed_and_display_cleanly() {
         err.to_string(),
         "fault plan targets node 99 but the cluster has 16"
     );
+
+    // So is every rack's task list: a bad task given to rack 1 is an
+    // error here, not a panic inside `Facility::run`.
+    let sobel = |threads, arrival_s| {
+        ClusterTask::new(WorkloadKind::Sobel, InputSize::A, threads, arrival_s)
+    };
+    for (task, expected, message) in [
+        (
+            sobel(16, f64::NAN),
+            ClusterBuildError::BadTaskArrival,
+            "task arrivals must be finite and non-negative",
+        ),
+        (
+            sobel(0, 0.0),
+            ClusterBuildError::ZeroThreadTask,
+            "a task needs at least one thread",
+        ),
+    ] {
+        let err = FacilityBuilder::new(2)
+            .tasks_on(1, [task])
+            .try_build()
+            .unwrap_err();
+        assert_eq!(err, FacilityBuildError::Rack(expected));
+        assert_eq!(err.to_string(), message);
+    }
 }

@@ -1155,32 +1155,6 @@ impl GridThermal {
             .fold(f64::NEG_INFINITY, f64::max)
     }
 
-    /// Current per-core hotspot temperatures, Celsius.
-    pub fn core_temps_c(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.core_cells.len()];
-        self.core_temps_c_into(&mut out);
-        out
-    }
-
-    /// Writes the current per-core hotspot temperatures into `out` —
-    /// the non-allocating form of [`Self::core_temps_c`] for per-window
-    /// polling loops (the cluster admission scheduler reads every
-    /// node's temperature every sampling window).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `out.len()` equals the floorplan's core count.
-    pub fn core_temps_c_into(&self, out: &mut [f64]) {
-        assert_eq!(
-            out.len(),
-            self.core_cells.len(),
-            "output slice must have one slot per core"
-        );
-        for (c, t) in out.iter_mut().enumerate() {
-            *t = self.core_temp_c(c);
-        }
-    }
-
     /// Peak per-core hotspot temperatures over the whole run, Celsius.
     pub fn peak_core_temps_c(&self) -> &[f64] {
         &self.peak_core_temps_c
@@ -2050,17 +2024,6 @@ mod tests {
             g.region_sprint_budget_j(0) < g.region_sprint_budget_j(15),
             "the heated region must have less budget left"
         );
-    }
-
-    #[test]
-    fn core_temps_into_matches_the_allocating_accessor() {
-        let mut g = GridThermalParams::hpca_like().build();
-        g.set_chip_power_w(10.0);
-        g.advance(0.5);
-        let alloc = g.core_temps_c();
-        let mut buf = vec![0.0; alloc.len()];
-        g.core_temps_c_into(&mut buf);
-        assert_eq!(alloc, buf);
     }
 
     #[test]
