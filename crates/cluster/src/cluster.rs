@@ -51,7 +51,7 @@ use sprint_core::thermal_model::ThermalModel;
 use sprint_thermal::grid::GridThermalParams;
 use sprint_workloads::suite::suite_loader;
 
-use crate::policy::{ClusterPolicy, PowerPolicy};
+use crate::policy::{rank_nodes, ClusterPolicy, PowerPolicy};
 use crate::queue::{ClusterTask, TaskOutcome};
 use crate::rack::{NodeThermalView, RackThermal};
 use crate::supply::{RackSupply, RackSupplyParams};
@@ -181,8 +181,8 @@ impl NodeSpec {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Placement {
     /// The policy's own ordering: coolest-node-first for headroom-aware
-    /// policies, node-index order otherwise — the pre-refactor
-    /// behaviour, byte-for-byte.
+    /// policies (a NaN reading ranks hottest, so its node goes last),
+    /// node-index order otherwise.
     PolicyDefault,
     /// Cost-aware placement for heterogeneous fleets: idle nodes are
     /// ranked by (task affinity, joint headroom cost, index). A node
@@ -191,7 +191,8 @@ pub enum Placement {
     /// thermal + electrical headroom is cheapest — thermal cost is the
     /// node's fraction of its own temperature range consumed,
     /// electrical cost its live draw over its nameplate share. Fully
-    /// deterministic: ties break toward the lower node index.
+    /// deterministic: ties break toward the lower node index, and a NaN
+    /// cost ranks behind every number.
     CheapestHeadroom,
 }
 
@@ -467,6 +468,11 @@ pub enum ClusterBuildError {
     ZeroFaultBackoff,
     /// The fault plan's events are not sorted by `(window, node)`.
     UnsortedFaultPlan,
+    /// A supply collapse scale is not finite and above 1.
+    BadCollapseScale {
+        /// The offending scale.
+        scale: f64,
+    },
     /// The per-node spec list does not match the rack's node count.
     NodeSpecCountMismatch {
         /// Specs supplied.
@@ -519,6 +525,10 @@ impl std::fmt::Display for ClusterBuildError {
             ),
             Self::ZeroFaultBackoff => f.write_str("retry backoff must be at least one window"),
             Self::UnsortedFaultPlan => f.write_str("fault plan must be sorted by (window, node)"),
+            Self::BadCollapseScale { scale } => write!(
+                f,
+                "a supply collapse must scale draws above unity, got {scale}"
+            ),
             Self::NodeSpecCountMismatch { specs, nodes } => write!(
                 f,
                 "node spec list has {specs} entries but the rack has {nodes} nodes"
@@ -532,8 +542,9 @@ impl std::error::Error for ClusterBuildError {}
 
 /// The fault-plan checks [`ClusterBuilder::try_build`] runs, in its
 /// order: a positive retry backoff, events sorted by `(window, node)`,
-/// and every event on one of the rack's `nodes` nodes. Public so a tier
-/// that composes racks can vet every rack's plan before building any.
+/// every event on one of the rack's `nodes` nodes, and every supply
+/// collapse scale finite and above 1. Public so a tier that composes
+/// racks can vet every rack's plan before building any.
 pub fn check_fault_plan(plan: &FaultPlan, nodes: usize) -> Result<(), ClusterBuildError> {
     if plan.backoff_windows == 0 {
         return Err(ClusterBuildError::ZeroFaultBackoff);
@@ -550,6 +561,13 @@ pub fn check_fault_plan(plan: &FaultPlan, nodes: usize) -> Result<(), ClusterBui
             node: ev.node,
             nodes,
         });
+    }
+    for ev in &plan.events {
+        if let FaultKind::SupplyCollapse(scale) = ev.kind {
+            if !(scale.is_finite() && scale > 1.0) {
+                return Err(ClusterBuildError::BadCollapseScale { scale });
+            }
+        }
     }
     Ok(())
 }
@@ -860,7 +878,6 @@ impl ClusterBuilder {
                         supply,
                         sustained.clone(),
                         self.trace_capacity,
-                        Vec::new(),
                     ),
                     task: None,
                     assigned_s: 0.0,
@@ -874,7 +891,7 @@ impl ClusterBuilder {
             self.tasks[a]
                 .arrival_s
                 .partial_cmp(&self.tasks[b].arrival_s)
-                .unwrap_or(std::cmp::Ordering::Equal)
+                .expect("check_tasks admits finite arrivals only")
                 .then(a.cmp(&b))
         });
         let task_count = self.tasks.len();
@@ -1540,63 +1557,47 @@ impl ClusterSession {
 
     /// Assigns ready tasks to idle nodes (coolest-first for headroom-
     /// aware policies), duplicating onto spare nodes under competitive
-    /// policies. Under a deferring policy, a head-of-line task that
-    /// cannot be admitted *waits for headroom* (until its defer window
-    /// expires) instead of burning an order of magnitude longer in
-    /// sustained mode — the sprint-or-defer trade that makes rationed
-    /// sprinting beat the unmanaged rack.
-    pub(crate) fn assign_ready(&mut self, now: f64) {
-        while !self.ready.is_empty() {
-            // Down and quarantined nodes cannot take work in either
-            // response mode — a crashed server is gone, not slow.
-            let mut idle: Vec<usize> = self
-                .nodes
-                .iter()
-                .enumerate()
-                .filter(|&(_, n)| n.task.is_none() && n.health == Health::Up)
-                .map(|(i, _)| i)
-                .collect();
-            if idle.is_empty() {
-                return;
+    /// policies, and returns the nodes it started. Under a deferring
+    /// policy, a head-of-line task that cannot be admitted *waits for
+    /// headroom* (until its defer window expires) instead of burning an
+    /// order of magnitude longer in sustained mode — the sprint-or-defer
+    /// trade that makes rationed sprinting beat the unmanaged rack. The
+    /// idle set is ranked once: a start moves no reading it took.
+    pub(crate) fn assign_ready(&mut self, now: f64) -> Vec<usize> {
+        let mut started = Vec::new();
+        if self.ready.is_empty() {
+            return started;
+        }
+        // Down and quarantined nodes cannot take work in either
+        // response mode — a crashed server is gone, not slow.
+        let free = (0..self.nodes.len())
+            .filter(|&i| self.nodes[i].task.is_none() && self.nodes[i].health == Health::Up);
+        let mut idle = match self.placement {
+            Placement::PolicyDefault if self.policy.places_coolest_first() => {
+                rank_nodes(free.map(|n| (self.sensed_temp_c(n), n)), false)
             }
-            let task = *self.ready.front().expect("checked non-empty");
-            match self.placement {
-                Placement::PolicyDefault => {
-                    if self.policy.places_coolest_first() {
-                        let mut keyed: Vec<(f64, usize)> =
-                            idle.iter().map(|&n| (self.sensed_temp_c(n), n)).collect();
-                        keyed.sort_by(|a, b| {
-                            a.0.partial_cmp(&b.0)
-                                .unwrap_or(std::cmp::Ordering::Equal)
-                                .then(a.1.cmp(&b.1))
-                        });
-                        idle = keyed.into_iter().map(|(_, n)| n).collect();
-                    }
-                }
-                Placement::CheapestHeadroom => {
-                    let min_cores = self.tasks[task].min_cores;
-                    let mut keyed: Vec<(bool, f64, usize)> = idle
-                        .iter()
-                        .map(|&n| {
-                            let narrow = self.nodes[n].session.machine().config().cores < min_cores;
-                            (narrow, self.placement_cost(n), n)
-                        })
-                        .collect();
-                    keyed.sort_by(|a, b| {
-                        a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)).then(a.2.cmp(&b.2))
-                    });
-                    idle = keyed.into_iter().map(|(_, _, n)| n).collect();
-                }
+            Placement::PolicyDefault => free.collect(),
+            Placement::CheapestHeadroom => {
+                rank_nodes(free.map(|n| (self.placement_cost(n), n)), false)
+            }
+        };
+        while let Some(&task) = self.ready.front().filter(|_| !idle.is_empty()) {
+            // A node too narrow for the task's class goes behind every
+            // wide-enough one; the stable sort keeps the ranking within
+            // each side.
+            let mut order = idle.clone();
+            if self.placement == Placement::CheapestHeadroom {
+                let min_cores = self.tasks[task].min_cores;
+                order.sort_by_key(|&n| self.nodes[n].session.machine().config().cores < min_cores);
             }
             // Admission is judged on the best (first-placed) candidate:
             // if even the coolest idle node cannot sprint, the task
             // defers rather than degrade — unless its window expired.
-            let admit_primary = self.admits_on(idle[0]);
             let mut force_sustained = false;
-            if !admit_primary {
+            if !self.admits_on(order[0]) {
                 if let Some(defer_s) = self.policy.defer_window_s() {
                     if now - self.tasks[task].arrival_s < defer_s {
-                        return; // hold the queue; retry next window
+                        break; // hold the queue; retry next window
                     }
                     force_sustained = true; // waited long enough
                 }
@@ -1613,10 +1614,14 @@ impl ClusterSession {
                 self.policy.duplicates().min(spare.max(1)).min(idle.len())
             };
             self.task_copies[task] = copies;
-            for &node in idle.iter().take(copies) {
+            let chosen = &order[..copies];
+            for &node in chosen {
                 self.start_task_on(node, task, now, force_sustained);
             }
+            idle.retain(|n| !chosen.contains(n));
+            started.extend_from_slice(chosen);
         }
+        started
     }
 
     /// The joint headroom cost [`Placement::CheapestHeadroom`] ranks
@@ -1625,7 +1630,7 @@ impl ClusterSession {
     /// draw over its *nameplate* share — both dimensionless, so a node
     /// that is thermally cool but electrically over-share ranks behind
     /// one comfortable on both axes. A dropped-out sensor (NaN reading)
-    /// reads as maximally hot: placement avoids what it cannot see.
+    /// costs the most thermal headroom, and a NaN cost ranks last.
     fn placement_cost(&self, node: usize) -> f64 {
         let thermal_port = self.nodes[node].session.thermal();
         let ambient = thermal_port.ambient_c();

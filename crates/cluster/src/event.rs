@@ -24,7 +24,9 @@
 //!   any other window they are provably side-effect-free. They read
 //!   each node's sensor on demand, and nothing advances the grid or a
 //!   fault state between the fault phase and the node phase, so they
-//!   read what the lockstep passes read. Only
+//!   read what the lockstep passes read. Assignment ranks the idle set
+//!   once and hands back the nodes it started, which join the busy
+//!   list. Only
 //!   [`EventDrivenCluster::inject_task`] (which grows the ready queue)
 //!   and [`EventDrivenCluster::drain_stranded_requeues`] reach the
 //!   session between windows, so checking at the start of a window
@@ -59,10 +61,10 @@
 //! sleeping node's remaining rest effects are private: its idle clock
 //! and the idle draw it records again each window. They are replayed
 //! verbatim — `rest_many`, whose contract is bit-identical to the
-//! looped `rest` calls — when the node is next observed: before any
-//! window that may assign it work, and at terminal and report time.
-//! Node 0 never sleeps, so a sleeping fleet costs a fraction of the
-//! lockstep loop.
+//! looped `rest` calls — when the node takes work (before the shed
+//! passes stamp a preemption with its clock; the scheduler reads none
+//! of these effects), and at terminal and report time. Node 0 never
+//! sleeps, so a sleeping fleet costs a fraction of the lockstep loop.
 //!
 //! # The lockstep path is the golden oracle
 //!
@@ -82,10 +84,10 @@ use crate::queue::ClusterTask;
 pub struct EventDrivenCluster {
     inner: ClusterSession,
     /// Windows fully executed per node. Node 0 is always current; a
-    /// sleeping node's deficit is replayed by [`Self::catch_up_all`].
+    /// sleeping node's deficit is replayed by [`Self::catch_up`].
     done: Vec<u64>,
     /// Nodes currently holding a task, ascending. A task appears only
-    /// via `assign_ready` (after which the list is rebuilt) and leaves
+    /// via `assign_ready` (which names the nodes it started) and leaves
     /// through a crash, a completion or a cancellation (after which
     /// [`Self::retire_idle`] moves the node to `owed`). This is what
     /// lets a quiet window cost O(active) instead of O(fleet).
@@ -170,18 +172,23 @@ impl EventDrivenCluster {
     /// clock, and the supply side records the idle draw once.
     fn catch_up_all(&mut self, target: u64) {
         for i in 1..self.inner.nodes.len() {
-            debug_assert!(self.done[i] <= target);
-            if self.done[i] < target {
-                debug_assert!(
-                    self.inner.nodes[i].task.is_none(),
-                    "a busy node can never sleep"
-                );
-                let deficit = target - self.done[i];
-                self.inner.nodes[i]
-                    .session
-                    .rest_many(self.inner.window_s, deficit);
-                self.done[i] = target;
-            }
+            debug_assert!(
+                self.done[i] == target || self.inner.nodes[i].task.is_none(),
+                "a busy node can never sleep"
+            );
+            self.catch_up(i, target);
+        }
+    }
+
+    /// Replays node `i`'s rest windows up to `target`. A current node
+    /// replays nothing: it may still owe the rest that zeroes its power.
+    fn catch_up(&mut self, i: usize, target: u64) {
+        let deficit = target - self.done[i];
+        if deficit > 0 {
+            self.inner.nodes[i]
+                .session
+                .rest_many(self.inner.window_s, deficit);
+            self.done[i] = target;
         }
     }
 
@@ -217,20 +224,13 @@ impl EventDrivenCluster {
                 self.inner.pop_arrivals(now);
                 self.inner.pop_requeues();
             }
-            if !self.inner.ready.is_empty() {
-                // Assignment may start work on any idle node: bring
-                // the whole fleet current before the scheduler looks,
-                // then rescan it for the nodes that took work.
-                self.catch_up_all(w);
-                self.inner.assign_ready(now);
-                let fleet = &self.inner.nodes;
-                self.busy.clear();
-                self.busy.extend(
-                    (0..fleet.len())
-                        .filter(|&i| fleet[i].task.is_some())
-                        .map(|i| i as u32),
-                );
+            // Only the nodes assignment started are brought current
+            // (the lazy rest replay in the module docs).
+            for i in self.inner.assign_ready(now) {
+                self.catch_up(i, w);
+                self.busy.push(i as u32);
             }
+            self.busy.sort_unstable();
             self.inner.shed_pass(now);
             self.inner.power_shed_pass(now);
         }

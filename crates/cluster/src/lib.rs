@@ -95,8 +95,8 @@
 //! real rest, which takes its core power off the grid and records its
 //! idle draw before the next settlement. After that an idle node
 //! sleeps, and its private rest effects are replayed verbatim (same
-//! calls, same order, same floating-point sequence) when it is next
-//! observed.
+//! calls, same order, same floating-point sequence) when it takes work
+//! and at terminal and report time.
 //!
 //! The contract between the two is not "close enough": an event-driven
 //! run must reproduce the lockstep [`cluster::ClusterReport`] digest
@@ -150,7 +150,7 @@
 //! gains a cost-aware pass ([`cluster::Placement::CheapestHeadroom`])
 //! that ranks idle nodes by affinity fit, then thermal + electrical
 //! headroom cost; the default [`cluster::Placement::PolicyDefault`]
-//! keeps the pre-refactor coolest-first order bit-for-bit.
+//! keeps the coolest-first order. Both rank a NaN reading hottest.
 //!
 //! Competitive duplication closes the loop: with
 //! `CompetitiveDuplicate { cancel_losers: true, .. }` the first replica

@@ -265,11 +265,12 @@ impl ClusterPolicy {
     /// thermal shed pass, its upstream draw for the power emergency —
     /// taken once per sprinting node; `grant_order` lists the same
     /// nodes oldest-grant-first (the cluster session maintains it).
-    /// Greedy and competitive policies shed the highest reading first
-    /// (ties by lower index, so the order is fully deterministic);
-    /// round-robin sheds oldest grant first and reads nothing; the
-    /// baselines never shed (their allowance can't be exceeded) but
-    /// order deterministically anyway.
+    /// Greedy and competitive policies shed the highest reading first,
+    /// a NaN reading (a dropped-out sensor) before any number, ties by
+    /// lower index, so the order is fully deterministic; round-robin
+    /// sheds oldest grant first and reads nothing; the baselines never
+    /// shed (their allowance can't be exceeded) but order
+    /// deterministically anyway.
     pub fn shed_order(
         &self,
         sprinting: &[usize],
@@ -282,19 +283,7 @@ impl ClusterPolicy {
                 .filter(|n| sprinting.contains(n))
                 .copied()
                 .collect(),
-            _ => {
-                let mut keyed: Vec<(f64, usize)> =
-                    sprinting.iter().map(|&n| (reading(n), n)).collect();
-                // Highest first; equal readings break toward the lower
-                // node index so the order never depends on the
-                // incoming arrangement.
-                keyed.sort_by(|a, b| {
-                    b.0.partial_cmp(&a.0)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.1.cmp(&b.1))
-                });
-                keyed.into_iter().map(|(_, n)| n).collect()
-            }
+            _ => rank_nodes(sprinting.iter().map(|&n| (reading(n), n)), true),
         }
     }
 
@@ -364,6 +353,24 @@ impl ClusterPolicy {
             ClusterPolicy::GreedyHeadroom { .. } | ClusterPolicy::CompetitiveDuplicate { .. }
         )
     }
+}
+
+/// The one node ranking every scheduler pass uses: `(reading, node)`
+/// pairs ordered coolest first by `f64::total_cmp`, a NaN reading
+/// hottest of all, equal readings toward the lower index.
+/// `hottest_first` walks the same order from the hot end, index ties
+/// still ascending.
+pub(crate) fn rank_nodes(
+    keyed: impl Iterator<Item = (f64, usize)>,
+    hottest_first: bool,
+) -> Vec<usize> {
+    // Every NaN becomes the one positive NaN, above +∞ under
+    // `total_cmp`; negated keys walk the same order from the hot end.
+    let heat = |r: f64| if r.is_nan() { f64::NAN.abs() } else { r };
+    let key = |r: f64| if hottest_first { -heat(r) } else { heat(r) };
+    let mut keyed: Vec<(f64, usize)> = keyed.map(|(r, n)| (key(r), n)).collect();
+    keyed.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    keyed.into_iter().map(|(_, n)| n).collect()
 }
 
 #[cfg(test)]

@@ -112,7 +112,6 @@ fn one_node_cluster_on_a_hybrid_supply_matches_a_standalone_session() {
         HybridSupply::phone(),
         sustained,
         2048,
-        Vec::new(),
     );
     let mut windows: u64 = 0;
     for spec in [task(0.0), task(gap_arrival_s)] {
@@ -152,7 +151,6 @@ fn one_node_cluster_on_a_hybrid_supply_matches_a_standalone_session() {
         HybridSupply::phone(),
         sprint_cfg.clone(),
         2048,
-        Vec::new(),
     );
     for _ in 0..2 {
         suite_loader(WorkloadKind::Sobel, InputSize::A, 16)(no_rest.machine_mut());

@@ -481,16 +481,16 @@ fn drain_both(build: impl Fn() -> ClusterSession) -> (ClusterReport, f64) {
 }
 
 /// One 16-thread task arriving at 2 µs on a cold two-node rack, with
-/// `fault` (if any) applied at window 0: the node the task ran on and
-/// whether it sprinted.
-fn sensed_placement(fault: Option<(u32, FaultKind)>, response: FaultResponse) -> (usize, bool) {
-    let events: Vec<FaultEvent> = fault
-        .map(|(node, kind)| FaultEvent {
+/// `faults` applied at window 0: the node the task ran on and whether
+/// it sprinted.
+fn sensed_placement(faults: &[(u32, FaultKind)], response: FaultResponse) -> (usize, bool) {
+    let events: Vec<FaultEvent> = faults
+        .iter()
+        .map(|&(node, kind)| FaultEvent {
             window: 0,
             node,
             kind,
         })
-        .into_iter()
         .collect();
     let (report, _) = drain_both(|| {
         ClusterBuilder::new(GridThermalParams::rack(2, 1).time_scaled(3000.0))
@@ -516,34 +516,72 @@ fn sensed_placement(fault: Option<(u32, FaultKind)>, response: FaultResponse) ->
 
 /// The scheduler reads each node's sensor through its fault port.
 /// Oblivious scheduling believes the sensor: a stuck-cold node looks
-/// coolest, a biased one looks hot, and a dropped-out one (NaN) places
-/// by index but clears no admission gate, so the task runs sustained.
-/// Aware scheduling reads every faulted sensor as at the limit, so the
-/// task sprints on the healthy node.
+/// coolest, a biased one looks hot, and a dropped-out one (NaN) ranks
+/// hottest, so the task sprints on the healthy node. With both sensors
+/// dropped out the task places by index, and a NaN reading clears no
+/// admission gate, so it runs sustained. Aware scheduling reads every
+/// faulted sensor as at the limit, so the task sprints on a healthy
+/// node if there is one.
 #[test]
 fn scheduler_reads_each_sensor_through_its_fault_port() {
+    use FaultKind::{SensorBias, SensorDropout, SensorStuck};
     use FaultResponse::{Aware, Oblivious};
-    let table = [
-        (None, (0, true), (0, true)),
+    let table: [(&[(u32, FaultKind)], _, _); 5] = [
+        (&[], (0, true), (0, true)),
+        (&[(1, SensorStuck(10.0))], (1, true), (0, true)),
+        (&[(0, SensorBias(30.0))], (1, true), (1, true)),
+        (&[(0, SensorDropout)], (1, true), (1, true)),
         (
-            Some((1, FaultKind::SensorStuck(10.0))),
-            (1, true),
-            (0, true),
+            &[(0, SensorDropout), (1, SensorDropout)],
+            (0, false),
+            (0, false),
         ),
-        (Some((0, FaultKind::SensorBias(30.0))), (1, true), (1, true)),
-        (Some((0, FaultKind::SensorDropout)), (0, false), (1, true)),
     ];
-    for (fault, oblivious, aware) in table {
+    for (faults, oblivious, aware) in table {
         assert_eq!(
-            sensed_placement(fault, Oblivious),
+            sensed_placement(faults, Oblivious),
             oblivious,
-            "{fault:?} under Oblivious: (node, sprinted)"
+            "{faults:?} under Oblivious: (node, sprinted)"
         );
         assert_eq!(
-            sensed_placement(fault, Aware),
+            sensed_placement(faults, Aware),
             aware,
-            "{fault:?} under Aware: (node, sprinted)"
+            "{faults:?} under Aware: (node, sprinted)"
         );
+    }
+}
+
+/// A 64-node rack whose node 3 sensor drops out at window 0 under
+/// oblivious scheduling, with eight tasks ready in that window and eight
+/// more once the first wave has warmed the rack unevenly. The NaN
+/// reading ranks hottest, so with 63 healthy nodes no task may land on
+/// node 3. Drained on both engines, window by window.
+#[test]
+fn dropped_out_sensor_ranks_last_on_a_large_rack() {
+    let (report, _) = drain_both(|| {
+        let wave =
+            |start_s| ClusterTask::arrivals(WorkloadKind::Sobel, InputSize::A, 4, 8, start_s, 0.0);
+        ClusterBuilder::new(
+            GridThermalParams::rack(8, 8)
+                .with_grid(16, 16)
+                .time_scaled(3000.0),
+        )
+        .policy(ClusterPolicy::greedy_default())
+        .tasks(wave(0.0).into_iter().chain(wave(40e-6)))
+        .fault_plan(
+            FaultPlan::new(vec![FaultEvent {
+                window: 0,
+                node: 3,
+                kind: FaultKind::SensorDropout,
+            }])
+            .with_response(FaultResponse::Oblivious),
+        )
+        .trace_capacity(0)
+        .build()
+    });
+    assert_eq!(report.completed, 16);
+    for o in &report.outcomes {
+        assert_ne!(o.node, 3, "task {} ran on the dropped-out node", o.task);
     }
 }
 

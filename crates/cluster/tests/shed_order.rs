@@ -83,13 +83,19 @@ proptest! {
     }
 
     /// The shed order is a deterministic function of the temperature
-    /// snapshot: hottest first with index tie-breaks, every sprinting
-    /// node ranked exactly once.
+    /// snapshot: dropped-out sensors (NaN) first, then hottest first,
+    /// with index tie-breaks, every sprinting node ranked exactly once.
+    /// Readings sit on a 2 K grid so ties are common, and one code in
+    /// six is a dropout.
     #[test]
     fn shed_order_is_deterministic_and_complete(
-        temps in prop::collection::vec(25.0f64..70.0, 16..17),
+        codes in prop::collection::vec(0u32..24, 16..17),
         mask in 1u32..65536,
     ) {
+        let temps: Vec<f64> = codes
+            .iter()
+            .map(|&c| if c < 4 { f64::NAN } else { 25.0 + 2.0 * c as f64 })
+            .collect();
         let sprinting: Vec<usize> =
             (0..16).filter(|i| mask & (1 << i) != 0).collect();
         let policy = ClusterPolicy::greedy_default();
@@ -101,9 +107,11 @@ proptest! {
         prop_assert_eq!(sorted, sprinting.clone(), "a permutation of the sprinting set");
         for w in order.windows(2) {
             let (a, b) = (w[0], w[1]);
+            let (ta, tb) = (temps[a], temps[b]);
+            let tied = (ta.is_nan() && tb.is_nan()) || ta == tb;
             prop_assert!(
-                temps[a] > temps[b] || (temps[a] == temps[b] && a < b),
-                "hottest-first with index ties: {a} before {b}"
+                (ta.is_nan() && !tb.is_nan()) || ta > tb || (tied && a < b),
+                "NaN first, then hottest first, with index ties: {a} ({ta}) before {b} ({tb})"
             );
         }
     }

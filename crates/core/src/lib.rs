@@ -122,9 +122,7 @@ pub use fault::{
     FaultSupply, SensorFault, SupplyFault,
 };
 pub use metrics::{arithmetic_mean, geometric_mean, Comparison};
-pub use session::{
-    RunReport, RunSample, ScenarioBuilder, SessionObserver, SprintSession, StepOutcome,
-};
+pub use session::{RunReport, RunSample, ScenarioBuilder, SprintSession, StepOutcome};
 pub use supply::{EfficiencyCurve, IdealSupply, PinLimited, PowerSupply, Regulator};
 pub use system::SprintSystem;
 pub use thermal_model::{LumpedThermal, ThermalModel};

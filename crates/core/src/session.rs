@@ -130,21 +130,6 @@ impl StepOutcome {
     }
 }
 
-/// Observer hooks a session reports into as it advances: one call per
-/// sampling window, one per controller event. Implementations are
-/// composable — a session can carry any number.
-pub trait SessionObserver {
-    /// Called after every sampling window with the window's sample.
-    fn on_sample(&mut self, sample: &RunSample) {
-        let _ = sample;
-    }
-
-    /// Called for every controller event, in order.
-    fn on_event(&mut self, event: &ControllerEvent) {
-        let _ = event;
-    }
-}
-
 /// A steppable coupled simulation, generic over the thermal backend and
 /// the electrical supply.
 pub struct SprintSession<T: ThermalModel = PhoneThermal, S: PowerSupply = IdealSupply> {
@@ -153,7 +138,6 @@ pub struct SprintSession<T: ThermalModel = PhoneThermal, S: PowerSupply = IdealS
     supply: S,
     config: SprintConfig,
     controller: SprintController,
-    observers: Vec<Box<dyn SessionObserver>>,
     window_ps: u64,
     window_s: f64,
     max_windows: u64,
@@ -183,7 +167,6 @@ impl<T: ThermalModel + std::fmt::Debug, S: PowerSupply + std::fmt::Debug> std::f
             .field("windows", &self.windows)
             .field("idle_s", &self.idle_s)
             .field("finished", &self.finished)
-            .field("observers", &self.observers.len())
             .finish_non_exhaustive()
     }
 }
@@ -197,7 +180,6 @@ impl<T: ThermalModel, S: PowerSupply> SprintSession<T, S> {
         supply: S,
         config: SprintConfig,
         trace_capacity: usize,
-        observers: Vec<Box<dyn SessionObserver>>,
     ) -> Self {
         config.validate();
         let mut machine = machine;
@@ -212,7 +194,6 @@ impl<T: ThermalModel, S: PowerSupply> SprintSession<T, S> {
             supply,
             config,
             controller,
-            observers,
             window_ps,
             window_s,
             max_windows,
@@ -273,19 +254,15 @@ impl<T: ThermalModel, S: PowerSupply> SprintSession<T, S> {
             &mut self.machine,
         );
         self.drain_events();
-        let sample = RunSample {
-            time_s: now_s,
-            active_cores: self.machine.active_cores(),
-            instructions: self.machine.stats().instructions,
-            power_w,
-            junction_c: self.thermal.junction_temp_c(),
-            melt_fraction: self.thermal.melt_fraction(),
-        };
-        for o in &mut self.observers {
-            o.on_sample(&sample);
-        }
         if self.trace_capacity > 0 && self.windows.is_multiple_of(self.trace_stride) {
-            self.trace.push(sample);
+            self.trace.push(RunSample {
+                time_s: now_s,
+                active_cores: self.machine.active_cores(),
+                instructions: self.machine.stats().instructions,
+                power_w,
+                junction_c: self.thermal.junction_temp_c(),
+                melt_fraction: self.thermal.melt_fraction(),
+            });
             if self.trace.len() >= self.trace_capacity {
                 // Halve resolution: keep every other sample.
                 let kept: Vec<RunSample> = self.trace.iter().copied().step_by(2).collect();
@@ -499,9 +476,6 @@ impl<T: ThermalModel, S: PowerSupply> SprintSession<T, S> {
 
     fn drain_events(&mut self) {
         let fresh = &self.controller.events()[self.events_drained..];
-        if fresh.is_empty() {
-            return;
-        }
         for e in fresh {
             if self.sprint_end_s.is_none() {
                 if let ControllerEvent::SprintEnded { at_s, .. } = e {
@@ -511,13 +485,6 @@ impl<T: ThermalModel, S: PowerSupply> SprintSession<T, S> {
             self.events.push(*e);
         }
         self.events_drained = self.controller.events().len();
-        let start = self.events.len() - fresh.len();
-        for i in start..self.events.len() {
-            let e = self.events[i];
-            for o in &mut self.observers {
-                o.on_event(&e);
-            }
-        }
     }
 }
 
@@ -537,7 +504,6 @@ pub struct ScenarioBuilder<T: ThermalModel = PhoneThermal, S: PowerSupply = Idea
     supply: S,
     config: SprintConfig,
     trace_capacity: usize,
-    observers: Vec<Box<dyn SessionObserver>>,
 }
 
 impl<T: ThermalModel + std::fmt::Debug, S: PowerSupply + std::fmt::Debug> std::fmt::Debug
@@ -564,7 +530,6 @@ impl ScenarioBuilder<PhoneThermal, IdealSupply> {
             supply: IdealSupply,
             config: SprintConfig::hpca_parallel(),
             trace_capacity: 2048,
-            observers: Vec::new(),
         }
     }
 }
@@ -599,7 +564,6 @@ impl<T: ThermalModel, S: PowerSupply> ScenarioBuilder<T, S> {
             supply: self.supply,
             config: self.config,
             trace_capacity: self.trace_capacity,
-            observers: self.observers,
         }
     }
 
@@ -612,7 +576,6 @@ impl<T: ThermalModel, S: PowerSupply> ScenarioBuilder<T, S> {
             supply,
             config: self.config,
             trace_capacity: self.trace_capacity,
-            observers: self.observers,
         }
     }
 
@@ -625,12 +588,6 @@ impl<T: ThermalModel, S: PowerSupply> ScenarioBuilder<T, S> {
     /// Limits the retained trace length (0 disables tracing).
     pub fn trace_capacity(mut self, samples: usize) -> Self {
         self.trace_capacity = samples;
-        self
-    }
-
-    /// Attaches an observer.
-    pub fn observer(mut self, observer: Box<dyn SessionObserver>) -> Self {
-        self.observers.push(observer);
         self
     }
 
@@ -647,7 +604,6 @@ impl<T: ThermalModel, S: PowerSupply> ScenarioBuilder<T, S> {
             self.supply,
             self.config,
             self.trace_capacity,
-            self.observers,
         )
     }
 }
@@ -928,39 +884,5 @@ mod tests {
         assert_eq!(s.run_to_completion(), StepOutcome::Finished);
         assert!(s.report().finished);
         assert!(s.report().max_junction_c > s.thermal().ambient_c());
-    }
-
-    #[test]
-    fn observers_see_samples_and_events() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
-        #[derive(Default)]
-        struct Counter {
-            samples: usize,
-            events: usize,
-        }
-        struct CountingObserver(Rc<RefCell<Counter>>);
-        impl SessionObserver for CountingObserver {
-            fn on_sample(&mut self, _: &RunSample) {
-                self.0.borrow_mut().samples += 1;
-            }
-            fn on_event(&mut self, _: &ControllerEvent) {
-                self.0.borrow_mut().events += 1;
-            }
-        }
-
-        let counter = Rc::new(RefCell::new(Counter::default()));
-        let mut s = ScenarioBuilder::new()
-            .load(|m| spawn_threads(m, 16, 10_000))
-            .thermal(PhoneThermalParams::hpca().time_scaled(1000.0).build())
-            .observer(Box::new(CountingObserver(Rc::clone(&counter))))
-            .trace_capacity(0)
-            .build();
-        s.run_to_completion();
-        let c = counter.borrow();
-        assert_eq!(c.samples as u64, s.windows());
-        assert_eq!(c.events, s.events().len());
-        assert!(c.events >= 1, "at least SprintStarted");
     }
 }

@@ -83,7 +83,6 @@ impl<T: ThermalModel, S: PowerSupply> SprintSystem<T, S> {
             self.supply,
             self.config,
             self.trace_capacity,
-            Vec::new(),
         )
     }
 

@@ -607,13 +607,15 @@ impl FacilityBuilder {
 
     /// Builds the facility, reporting an invalid settlement
     /// configuration as a typed [`FacilityBuildError`] instead of
-    /// panicking: zero epoch windows; global rationing without rack
-    /// supplies or a facility cap, or with a cap/floor the racks cannot
-    /// satisfy; a row coupling whose inlet ceiling violates a rack's
-    /// thermal limit or PCM melting point; traffic with fewer tasks
-    /// than racks; a fault plan targeting nodes a rack does not have; a
-    /// task on any rack with a bad arrival or no threads; or a rack
-    /// config any [`ClusterBuilder`] check rejects.
+    /// panicking: zero epoch windows; a facility cap that is not finite
+    /// and positive; global rationing without rack supplies or a
+    /// facility cap, or with a cap/floor the racks cannot satisfy; a row
+    /// coupling with a NaN or negative CRAC capacity, or whose inlet
+    /// ceiling is NaN or violates a rack's thermal limit or PCM melting
+    /// point; traffic with fewer tasks than racks; a fault plan
+    /// targeting nodes a rack does not have or with a supply collapse
+    /// scale not above 1; a task on any rack with a bad arrival or no
+    /// threads; or a rack config any [`ClusterBuilder`] check rejects.
     pub fn try_build(self) -> Result<Facility, FacilityBuildError> {
         if self.epoch_windows < 1 {
             return Err(FacilityBuildError::ZeroEpochWindows);
@@ -621,6 +623,11 @@ impl FacilityBuilder {
         let nameplate: Vec<f64> = (0..self.racks)
             .map(|_| self.supply.map_or(f64::INFINITY, |s| s.cap_w))
             .collect();
+        if let Some(cap) = self.facility_cap_w {
+            if !(cap.is_finite() && cap > 0.0) {
+                return Err(FacilityBuildError::BadFacilityCap);
+            }
+        }
         // The smallest share the facility tier can pin a rack at: the
         // rationing floor, or the static equal split of a capped
         // oblivious facility. `None` when the tier never moves caps.
@@ -634,14 +641,7 @@ impl FacilityBuilder {
                     .map_err(FacilityBuildError::Policy)?;
                 Some(floor_w)
             }
-            FacilityPolicy::PerRack => {
-                if let Some(cap) = self.facility_cap_w {
-                    if !(cap.is_finite() && cap > 0.0) {
-                        return Err(FacilityBuildError::BadFacilityCap);
-                    }
-                }
-                self.facility_cap_w.map(|cap| cap / self.racks as f64)
-            }
+            FacilityPolicy::PerRack => self.facility_cap_w.map(|cap| cap / self.racks as f64),
         };
         if let Some(min_share_w) = min_share_w {
             if self.supply.is_none() {
@@ -672,12 +672,15 @@ impl FacilityBuilder {
                     "recirculation coefficient must be finite and non-negative",
                 ));
             }
-            if row.crac_capacity_w < 0.0 {
+            if row.crac_capacity_w.is_nan() || row.crac_capacity_w < 0.0 {
                 return Err(FacilityBuildError::Row(
-                    "CRAC capacity must be non-negative",
+                    "crac_capacity_w must be a non-negative number",
                 ));
             }
             if row.recirc_k_per_w > 0.0 {
+                if row.max_inlet_c.is_nan() {
+                    return Err(FacilityBuildError::Row("max_inlet_c must be a number"));
+                }
                 if row.max_inlet_c < self.thermal.ambient_c {
                     return Err(FacilityBuildError::Row(
                         "the inlet ceiling sits below the commissioned ambient",

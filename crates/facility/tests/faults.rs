@@ -235,6 +235,68 @@ fn facility_build_errors_are_typed_and_display_cleanly() {
         "fault plan targets node 99 but the cluster has 16"
     );
 
+    // A supply "collapse" must raise the node's draw: a 0.5 scale on
+    // rack 1 would halve its pool draw instead.
+    let err = FacilityBuilder::new(2)
+        .fault_on(
+            1,
+            FaultPlan::new(vec![FaultEvent {
+                window: 0,
+                node: 0,
+                kind: FaultKind::SupplyCollapse(0.5),
+            }]),
+        )
+        .try_build()
+        .unwrap_err();
+    assert_eq!(
+        err,
+        FacilityBuildError::Rack(ClusterBuildError::BadCollapseScale { scale: 0.5 })
+    );
+    assert_eq!(
+        err.to_string(),
+        "a supply collapse must scale draws above unity, got 0.5"
+    );
+
+    // NaN row and feed inputs are errors, not a silently disabled
+    // recirculation, a panic inside `Facility::run` or racks pinned at
+    // the floor.
+    let row = RowParams {
+        racks_per_row: 2,
+        recirc_k_per_w: 0.5,
+        crac_capacity_w: 30.0,
+        max_inlet_c: 40.0,
+    };
+    for (row, message) in [
+        (
+            RowParams {
+                crac_capacity_w: f64::NAN,
+                ..row
+            },
+            "crac_capacity_w must be a non-negative number",
+        ),
+        (
+            RowParams {
+                max_inlet_c: f64::NAN,
+                ..row
+            },
+            "max_inlet_c must be a number",
+        ),
+    ] {
+        let err = FacilityBuilder::new(2).row(row).try_build().unwrap_err();
+        assert_eq!(err, FacilityBuildError::Row(message));
+        assert_eq!(err.to_string(), message);
+    }
+    let err = FacilityBuilder::new(2)
+        .rack_supply(RackSupplyParams::rack(16))
+        .facility_policy(FacilityPolicy::GlobalRationed {
+            floor_w: 10.0,
+            slot_w: 14.0,
+        })
+        .facility_cap_w(f64::NAN)
+        .try_build()
+        .unwrap_err();
+    assert_eq!(err, FacilityBuildError::BadFacilityCap);
+
     // So is every rack's task list: a bad task given to rack 1 is an
     // error here, not a panic inside `Facility::run`.
     let sobel = |threads, arrival_s| {

@@ -99,8 +99,8 @@ pub mod prelude {
     pub use sprint_core::{
         ControllerEvent, EfficiencyCurve, ExecutionMode, FaultEvent, FaultKind, FaultPlan,
         FaultRates, FaultResponse, HotspotPolicy, IdealSupply, LumpedThermal, PinLimited,
-        PowerSupply, Regulator, RunReport, ScenarioBuilder, SessionObserver, SprintConfig,
-        SprintSession, SprintSystem, StepOutcome, SupplyPolicy, ThermalModel,
+        PowerSupply, Regulator, RunReport, ScenarioBuilder, SprintConfig, SprintSession,
+        SprintSystem, StepOutcome, SupplyPolicy, ThermalModel,
     };
     pub use sprint_facility::{
         Facility, FacilityBuildError, FacilityBuilder, FacilityPolicy, FacilityReport, RackSpec,
