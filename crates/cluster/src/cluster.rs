@@ -221,6 +221,16 @@ pub(crate) struct Node {
     health: Health,
 }
 
+impl Node {
+    /// Whether the node holds a sprint slot: it runs a task and is
+    /// ramping or sprinting (the slot is taken the moment the burst
+    /// starts).
+    fn is_sprinting(&self) -> bool {
+        let state = self.session.state();
+        self.task.is_some() && matches!(state, SprintState::Ramping | SprintState::Sprinting)
+    }
+}
+
 /// Where a submitted task stands on this rack. The three end states
 /// are mutually exclusive and final.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -932,6 +942,7 @@ impl ClusterBuilder {
             failsafe_preemptions: 0,
             requeue_count: 0,
             migrated_count: 0,
+            failed_count: 0,
         })
     }
 }
@@ -964,7 +975,9 @@ pub struct ClusterSession {
     /// Crash-retry attempts consumed per task.
     task_retries: Vec<u32>,
     events: Vec<ClusterEvent>,
-    /// Sprinting nodes, oldest admission first (round-robin shed order).
+    /// Sprint grants, oldest admission first (round-robin shed order):
+    /// every sprinting node holds one, and the scheduler passes open by
+    /// sweeping the grants whose sprints ended.
     pub(crate) grant_order: Vec<usize>,
     peak_junction_c: f64,
     /// The installed fault plan, if any (window-stamped, sorted).
@@ -986,6 +999,7 @@ pub struct ClusterSession {
     failsafe_preemptions: usize,
     requeue_count: usize,
     migrated_count: usize,
+    failed_count: usize,
 }
 
 impl std::fmt::Debug for ClusterSession {
@@ -1067,7 +1081,7 @@ impl ClusterSession {
     /// drained the moment every task has a winner (a loser may still
     /// be mid-run on its node when stepping stops).
     pub fn drained(&self) -> bool {
-        self.task_status.iter().all(|&s| s != TaskStatus::Open)
+        self.outcomes.len() + self.failed_count + self.migrated_count == self.tasks.len()
     }
 
     /// Tasks that have arrived but not yet been assigned to a node —
@@ -1077,7 +1091,9 @@ impl ClusterSession {
         self.ready.len()
     }
 
-    /// Nodes currently holding a sprint grant.
+    /// Sprint grants held: the nodes sprinting when the last scheduler
+    /// pass ended, less duplicate copies cancelled since. A sprint that
+    /// has since ended on its own still counts until the next pass.
     pub fn sprinting_count(&self) -> usize {
         self.grant_order.len()
     }
@@ -1287,11 +1303,11 @@ impl ClusterSession {
         self.sensor_fault_count += 1;
         let state = self.nodes[node].session.thermal().state();
         state.set_sensor(Some(fault));
-        if response == FaultResponse::Aware && self.is_sprinting(node) {
+        if response == FaultResponse::Aware && self.nodes[node].is_sprinting() {
             self.nodes[node].session.preempt_sprint();
             self.failsafe_preemptions += 1;
-            // The stale grant falls out of the rotation in this
-            // window's shed pass (its retain keeps only live sprints).
+            // The stale grant leaves the rotation at the sweep that
+            // opens this window's scheduler passes.
         }
     }
 
@@ -1338,6 +1354,7 @@ impl ClusterSession {
             self.requeue.insert(pos, entry);
         } else {
             self.task_status[task] = TaskStatus::Failed;
+            self.failed_count += 1;
         }
     }
 
@@ -1497,11 +1514,7 @@ impl ClusterSession {
             requeues: self.requeue_count,
             cancelled_copies: self.duplicates_cancelled,
             migrated_tasks: self.migrated_count,
-            failed_tasks: self
-                .task_status
-                .iter()
-                .filter(|&&s| s == TaskStatus::Failed)
-                .count(),
+            failed_tasks: self.failed_count,
             quarantined_nodes: self.quarantined_nodes(),
             outstanding_tasks: self.outstanding_tasks(),
             outcomes: self.outcomes.clone(),
@@ -1536,25 +1549,6 @@ impl ClusterSession {
             .count()
     }
 
-    /// Whether `node` holds a sprint slot: it runs a task and is
-    /// ramping or sprinting (the slot is taken the moment the burst
-    /// starts).
-    pub(crate) fn is_sprinting(&self, node: usize) -> bool {
-        let n = &self.nodes[node];
-        n.task.is_some()
-            && matches!(
-                n.session.state(),
-                SprintState::Ramping | SprintState::Sprinting
-            )
-    }
-
-    /// Nodes currently in a sprint, ascending.
-    fn sprinting_nodes(&self) -> Vec<usize> {
-        (0..self.nodes.len())
-            .filter(|&i| self.is_sprinting(i))
-            .collect()
-    }
-
     /// Assigns ready tasks to idle nodes (coolest-first for headroom-
     /// aware policies), duplicating onto spare nodes under competitive
     /// policies, and returns the nodes it started. Under a deferring
@@ -1562,8 +1556,12 @@ impl ClusterSession {
     /// headroom* (until its defer window expires) instead of burning an
     /// order of magnitude longer in sustained mode — the sprint-or-defer
     /// trade that makes rationed sprinting beat the unmanaged rack. The
-    /// idle set is ranked once: a start moves no reading it took.
+    /// idle set is ranked once: a start moves no reading it took. It
+    /// opens the scheduler passes by sweeping the grants whose sprints
+    /// ended, so every pass reads who sprints from the rotation alone.
     pub(crate) fn assign_ready(&mut self, now: f64) -> Vec<usize> {
+        let nodes = &self.nodes;
+        self.grant_order.retain(|&n| nodes[n].is_sprinting());
         let mut started = Vec::new();
         if self.ready.is_empty() {
             return started;
@@ -1593,8 +1591,9 @@ impl ClusterSession {
             // Admission is judged on the best (first-placed) candidate:
             // if even the coolest idle node cannot sprint, the task
             // defers rather than degrade — unless its window expired.
+            let admit = self.admits_on(order[0]);
             let mut force_sustained = false;
-            if !self.admits_on(order[0]) {
+            if !admit {
                 if let Some(defer_s) = self.policy.defer_window_s() {
                     if now - self.tasks[task].arrival_s < defer_s {
                         break; // hold the queue; retry next window
@@ -1615,8 +1614,11 @@ impl ClusterSession {
             };
             self.task_copies[task] = copies;
             let chosen = &order[..copies];
-            for &node in chosen {
-                self.start_task_on(node, task, now, force_sustained);
+            // Copy 0 takes the head check's verdict; a further copy is
+            // judged on its own node, after the earlier copies' grants.
+            for (k, &node) in chosen.iter().enumerate() {
+                let admit = if k == 0 { admit } else { self.admits_on(node) };
+                self.start_task_on(node, task, now, admit);
             }
             idle.retain(|n| !chosen.contains(n));
             started.extend_from_slice(chosen);
@@ -1675,9 +1677,7 @@ impl ClusterSession {
         let allowance = self
             .policy
             .max_sprinting_at(self.nodes.len(), self.rack.headroom_k());
-        let sprinting = (0..self.nodes.len())
-            .filter(|&n| self.is_sprinting(n))
-            .count();
+        let sprinting = self.grant_order.len();
         let node_headroom = self.nodes[node].session.thermal().t_max_c() - self.sensed_temp_c(node);
         self.policy.admits(node_headroom, sprinting, allowance) && self.power_admits()
     }
@@ -1697,7 +1697,7 @@ impl ClusterSession {
             .expect("rationing requires a pool (enforced at build)");
         let provisioned: f64 = (0..self.nodes.len())
             .map(|n| {
-                if self.is_sprinting(n) {
+                if self.nodes[n].is_sprinting() {
                     sprint_draw_w
                 } else {
                     pool.node_draw_w(n)
@@ -1707,10 +1707,9 @@ impl ClusterSession {
         provisioned + sprint_draw_w <= pool.cap_w()
     }
 
-    /// Starts `task` on `node`, consulting the policy for sprint
-    /// admission (unless the task already fell back to sustained).
-    fn start_task_on(&mut self, node: usize, task: usize, now: f64, force_sustained: bool) {
-        let admit = !force_sustained && self.admits_on(node);
+    /// Starts `task` on `node` under the sprint configuration if `admit`
+    /// (the caller's admission verdict), sustained otherwise.
+    fn start_task_on(&mut self, node: usize, task: usize, now: f64, admit: bool) {
         let spec = self.tasks[task];
         let config = if admit {
             self.sprint_config.clone()
@@ -1726,12 +1725,11 @@ impl ClusterSession {
         n.sprinted = admit;
         if admit {
             self.task_sprinted[task] = true;
-            // A node re-admitted in the same window its previous grant
-            // lapsed may still carry a stale rotation entry (the shed
-            // pass's retain runs after assignment): drop it so the new
-            // grant takes a fresh, single slot.
-            self.grant_order.retain(|&n| n != node);
-            self.grant_order.push(node);
+            // A sprint configuration in sustained mode admits a task
+            // that never sprints: it takes no grant.
+            if n.is_sprinting() {
+                self.grant_order.push(node);
+            }
             self.events.push(ClusterEvent::SprintAdmitted {
                 node,
                 task,
@@ -1749,22 +1747,28 @@ impl ClusterSession {
     /// Preempts sprinting nodes beyond the policy's allowance, in the
     /// policy's shed order.
     pub(crate) fn shed_pass(&mut self, now: f64) {
-        let sprinting = self.sprinting_nodes();
-        // Grants whose sprints already ended (budget, completion) fall
-        // out of the rotation here.
-        self.grant_order.retain(|n| sprinting.contains(n));
+        if cfg!(debug_assertions) {
+            let mut grants = self.grant_order.clone();
+            grants.sort_unstable();
+            let live = (0..self.nodes.len()).filter(|&n| self.nodes[n].is_sprinting());
+            assert_eq!(
+                grants,
+                live.collect::<Vec<_>>(),
+                "one grant per sprinting node"
+            );
+        }
         let rack_headroom = self.rack.headroom_k();
         let allowance = self
             .policy
             .max_sprinting_at(self.nodes.len(), rack_headroom);
-        if sprinting.len() <= allowance {
+        let sprinting = self.grant_order.len();
+        if sprinting <= allowance {
             return;
         }
-        let order =
-            self.policy
-                .shed_order(&sprinting, |n| self.sensed_temp_c(n), &self.grant_order);
-        let excess = sprinting.len() - allowance;
-        for &node in order.iter().take(excess) {
+        let order = self
+            .policy
+            .shed_order(&self.grant_order, |n| self.sensed_temp_c(n));
+        for &node in order.iter().take(sprinting - allowance) {
             self.nodes[node].session.preempt_sprint();
             self.grant_order.retain(|&n| n != node);
             self.events.push(ClusterEvent::NodeShed {
@@ -1798,10 +1802,9 @@ impl ClusterSession {
         if pool.headroom_w() >= 0.0 || reserve_fraction >= shed_reserve_fraction {
             return;
         }
-        let sprinting = self.sprinting_nodes();
         let order = self
             .policy
-            .shed_order(&sprinting, |n| pool.node_draw_w(n), &self.grant_order);
+            .shed_order(&self.grant_order, |n| pool.node_draw_w(n));
         let mut total = pool.total_draw_w();
         for &node in &order {
             if total <= pool.cap_w() {

@@ -20,13 +20,14 @@
 //! * **The scheduler passes** (assignment, the thermal and power shed
 //!   passes) run when faults or arrivals fired, or when the passes
 //!   could observe or mutate anything: the ready queue or the grant
-//!   rotation is non-empty, or a busy node is ramping or sprinting. On
-//!   any other window they are provably side-effect-free. They read
-//!   each node's sensor on demand, and nothing advances the grid or a
-//!   fault state between the fault phase and the node phase, so they
-//!   read what the lockstep passes read. Assignment ranks the idle set
-//!   once and hands back the nodes it started, which join the busy
-//!   list. Only
+//!   rotation is non-empty. Every sprinting node holds a grant, and
+//!   assignment opens the passes by sweeping the grants whose sprints
+//!   ended, so on any other window they are provably side-effect-free.
+//!   They read each node's sensor on demand, and nothing advances the
+//!   grid or a fault state between the fault phase and the node phase,
+//!   so they read what the lockstep passes read. Assignment ranks the
+//!   idle set once and hands back the nodes it started, which join the
+//!   busy list. Only
 //!   [`EventDrivenCluster::inject_task`] (which grows the ready queue)
 //!   and [`EventDrivenCluster::drain_stranded_requeues`] reach the
 //!   session between windows, so checking at the start of a window
@@ -131,17 +132,14 @@ impl EventDrivenCluster {
     }
 
     /// Whether the lockstep scheduler passes could observe or mutate
-    /// anything this window. Assignment acts only on a non-empty ready
-    /// queue; the shed passes act only on grant-rotation entries or
-    /// ramping/sprinting nodes (on anything less they are provably
-    /// side-effect-free, including the rotation `retain`).
+    /// anything this window. Assignment places only from a non-empty
+    /// ready queue, and its opening sweep and the shed passes act only
+    /// on grant-rotation entries. A sprint starts only through an
+    /// admission that grants it, and a grant leaves the rotation only
+    /// once its node stops sprinting, so an empty rotation means no
+    /// node sprints.
     fn scheduler_armed(&self) -> bool {
-        !self.inner.ready.is_empty()
-            || !self.inner.grant_order.is_empty()
-            || self
-                .busy
-                .iter()
-                .any(|&i| self.inner.is_sprinting(i as usize))
+        !self.inner.ready.is_empty() || !self.inner.grant_order.is_empty()
     }
 
     /// Moves every busy-list entry that no longer holds a task onto

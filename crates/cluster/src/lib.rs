@@ -86,17 +86,18 @@
 //! fresh lockstep session and runs the same windows in the same phase
 //! order, each phase only where it can act. Faults run on windows the
 //! plan stamps, arrivals when the next task or crash-retry is due, the
-//! scheduler passes when one of those fired or when a ready task, a
-//! grant or a sprinting node gives them something to do — each read
-//! from state the session already keeps, with no event queue. The node
-//! phase is one ascending loop over node 0 (the settlement leader, whose
-//! per-window ADI grid integration is bitwise irreducible), the busy
-//! nodes and the *owed* ones: a node that just lost its task owes one
-//! real rest, which takes its core power off the grid and records its
-//! idle draw before the next settlement. After that an idle node
-//! sleeps, and its private rest effects are replayed verbatim (same
-//! calls, same order, same floating-point sequence) when it takes work
-//! and at terminal and report time.
+//! scheduler passes when one of those fired or when a ready task or a
+//! sprint grant gives them something to do (every sprinting node holds
+//! a grant, and the passes open by sweeping the grants whose sprints
+//! ended) — each read from state the session already keeps, with no
+//! event queue. The node phase is one ascending loop over node 0 (the
+//! settlement leader, whose per-window ADI grid integration is bitwise
+//! irreducible), the busy nodes and the *owed* ones: a node that just
+//! lost its task owes one real rest, which takes its core power off
+//! the grid and records its idle draw before the next settlement.
+//! After that an idle node sleeps, and its private rest effects are
+//! replayed verbatim (same calls, same order, same floating-point
+//! sequence) when it takes work and at terminal and report time.
 //!
 //! The contract between the two is not "close enough": an event-driven
 //! run must reproduce the lockstep [`cluster::ClusterReport`] digest

@@ -120,8 +120,8 @@ pub enum ClusterPolicy {
         defer_s: f64,
     },
     /// Rotating admission: at most `max_sprinting` nodes sprint at
-    /// once, granted in task-arrival order; sheds (if the fixed
-    /// allowance is ever exceeded, e.g. after a policy hand-off) walk
+    /// once, granted in task-arrival order. Admission never exceeds
+    /// the fixed allowance, so only a power emergency sheds, walking
     /// the same rotation, oldest grant first.
     RoundRobin {
         /// Fixed cap on concurrently sprinting nodes.
@@ -259,31 +259,23 @@ impl ClusterPolicy {
         }
     }
 
-    /// Orders the currently sprinting nodes for preemption, most
-    /// expendable first. `sprinting` lists node indices; `reading(n)`
-    /// is node `n`'s ranking reading — its sensed temperature for the
+    /// Orders the sprinting nodes for preemption, most expendable
+    /// first. `grant_order` is the rack's grant rotation: every
+    /// sprinting node once, oldest grant first (the cluster session
+    /// sweeps it before its scheduler passes read it). `reading(n)` is
+    /// node `n`'s ranking reading — its sensed temperature for the
     /// thermal shed pass, its upstream draw for the power emergency —
-    /// taken once per sprinting node; `grant_order` lists the same
-    /// nodes oldest-grant-first (the cluster session maintains it).
-    /// Greedy and competitive policies shed the highest reading first,
-    /// a NaN reading (a dropped-out sensor) before any number, ties by
-    /// lower index, so the order is fully deterministic; round-robin
-    /// sheds oldest grant first and reads nothing; the baselines never
-    /// shed (their allowance can't be exceeded) but order
-    /// deterministically anyway.
-    pub fn shed_order(
-        &self,
-        sprinting: &[usize],
-        reading: impl Fn(usize) -> f64,
-        grant_order: &[usize],
-    ) -> Vec<usize> {
+    /// taken once per sprinting node. Greedy and competitive policies
+    /// shed the highest reading first, a NaN reading (a dropped-out
+    /// sensor) before any number, ties by lower index, so the order is
+    /// fully deterministic whatever the rotation's order; round-robin
+    /// sheds the rotation as it stands and reads nothing; the
+    /// baselines never shed (their allowance can't be exceeded) but
+    /// order deterministically anyway.
+    pub fn shed_order(&self, grant_order: &[usize], reading: impl Fn(usize) -> f64) -> Vec<usize> {
         match self {
-            ClusterPolicy::RoundRobin { .. } => grant_order
-                .iter()
-                .filter(|n| sprinting.contains(n))
-                .copied()
-                .collect(),
-            _ => rank_nodes(sprinting.iter().map(|&n| (reading(n), n)), true),
+            ClusterPolicy::RoundRobin { .. } => grant_order.to_vec(),
+            _ => rank_nodes(grant_order.iter().map(|&n| (reading(n), n)), true),
         }
     }
 
@@ -408,8 +400,8 @@ mod tests {
     fn shed_order_is_hottest_first_with_index_ties() {
         let p = ClusterPolicy::greedy_default();
         let temps = [50.0, 61.0, 55.0, 61.0];
-        let order = p.shed_order(&[0, 1, 2, 3], |n| temps[n], &[0, 1, 2, 3]);
-        assert_eq!(order, vec![1, 3, 2, 0]);
+        let order = p.shed_order(&[3, 0, 2, 1], |n| temps[n]);
+        assert_eq!(order, vec![1, 3, 2, 0], "whatever the rotation's order");
     }
 
     #[test]
@@ -417,7 +409,7 @@ mod tests {
         let p = ClusterPolicy::RoundRobin { max_sprinting: 4 };
         let temps = [90.0, 10.0, 50.0, 70.0];
         // Grant order 2, 0, 3 (node 1 is not sprinting).
-        let order = p.shed_order(&[0, 2, 3], |n| temps[n], &[2, 0, 3]);
+        let order = p.shed_order(&[2, 0, 3], |n| temps[n]);
         assert_eq!(order, vec![2, 0, 3], "rotation order, not temperature");
     }
 

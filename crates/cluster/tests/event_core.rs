@@ -33,13 +33,32 @@ fn rationed_rack() -> ClusterSession {
         .build()
 }
 
-/// A shed-heavy thermal-only rack: round-robin rotation with a tight
-/// allowance, so the shed order (and its grant-rotation bookkeeping)
-/// is exercised hard.
+/// A round-robin rack on a short feed: the rotation admits every node,
+/// and a reserve floor of 90% trips the power emergency again and
+/// again, so sheds walk the grant rotation oldest grant first (five
+/// power sheds, nodes 0, 3, 1, 2, 3). Round-robin admission never
+/// exceeds its fixed allowance, so only a power emergency sheds under
+/// it.
 fn round_robin_rack() -> ClusterSession {
-    ClusterBuilder::new(GridThermalParams::rack(2, 2).time_scaled(3000.0))
-        .policy(ClusterPolicy::RoundRobin { max_sprinting: 2 })
-        .tasks(ClusterTask::batch(WorkloadKind::Sobel, InputSize::A, 8, 10))
+    let mut cfg = SprintConfig::hpca_parallel();
+    cfg.tdp_w = 8.0;
+    ClusterBuilder::new(GridThermalParams::rack(2, 2).time_scaled(6000.0))
+        .policy(ClusterPolicy::RoundRobin { max_sprinting: 4 })
+        .placement(Placement::CheapestHeadroom)
+        .power_policy(PowerPolicy::Rationed {
+            sprint_draw_w: 2.0,
+            shed_reserve_fraction: 0.9,
+        })
+        .rack_supply(RackSupplyParams::rack(4).time_scaled(6000.0))
+        .config(cfg)
+        .tasks((0..6).map(|k| {
+            let size = if k % 3 == 0 {
+                InputSize::B
+            } else {
+                InputSize::A
+            };
+            ClusterTask::new(WorkloadKind::Sobel, size, 16, k as f64 * 20e-6)
+        }))
         .trace_capacity(0)
         .build()
 }
@@ -102,8 +121,11 @@ fn time_limited_rack() -> ClusterSession {
 }
 
 /// Runs `build()` both ways and asserts byte-identical reports (via
-/// the FNV digest) and identical terminal outcomes and window counts.
-fn assert_equivalent(build: impl Fn() -> ClusterSession, label: &str) {
+/// the FNV digest) and identical terminal outcomes and window counts,
+/// and that the lockstep digest is `pinned`. The two steppers share
+/// every scheduler pass, so a change that moves both together passes
+/// the equivalence check; the pinned digest catches it.
+fn assert_equivalent(build: impl Fn() -> ClusterSession, label: &str, pinned: u64) {
     let mut lockstep = build();
     let lockstep_outcome = lockstep.run_to_completion();
     let lockstep_report = lockstep.report();
@@ -128,21 +150,44 @@ fn assert_equivalent(build: impl Fn() -> ClusterSession, label: &str) {
         event_report.sheds,
         event_report.power_sheds,
     );
+    assert_eq!(
+        lockstep_report.digest(),
+        pinned,
+        "{label}: the lockstep report moved off its pinned digest"
+    );
 }
 
 #[test]
 fn event_core_matches_lockstep_on_the_rationed_rack() {
-    assert_equivalent(rationed_rack, "rationed open arrivals");
+    assert_equivalent(
+        rationed_rack,
+        "rationed open arrivals",
+        0xdb54_7d9a_e635_839e,
+    );
 }
 
+/// The round-robin rack drained window by window on both engines: its
+/// power sheds walk the grant rotation, and the digest pins their
+/// order.
 #[test]
 fn event_core_matches_lockstep_on_round_robin_shedding() {
-    assert_equivalent(round_robin_rack, "round-robin shed rotation");
+    let (report, _) = drain_both(round_robin_rack);
+    assert_eq!(
+        report.digest(),
+        0xc671_47f2_0ec6_5162,
+        "round-robin shed rotation: the lockstep report moved off its pinned digest"
+    );
+    assert!(report.power_sheds > 0, "the rotation never shed");
+    assert_eq!(report.supply_aborts, 0);
 }
 
 #[test]
 fn event_core_matches_lockstep_on_competitive_duplication() {
-    assert_equivalent(duplicating_rack, "competitive duplication");
+    assert_equivalent(
+        duplicating_rack,
+        "competitive duplication",
+        0xd3c3_dffd_a004_7733,
+    );
 }
 
 /// Tentpole invariant for the cancellation refactor: with losers
@@ -152,7 +197,11 @@ fn event_core_matches_lockstep_on_competitive_duplication() {
 /// the discard baseline reports zero by construction).
 #[test]
 fn event_core_matches_lockstep_under_loser_cancellation() {
-    assert_equivalent(cancelling_rack, "competitive duplication + cancel");
+    assert_equivalent(
+        cancelling_rack,
+        "competitive duplication + cancel",
+        0xa4e9_21c2_d1f0_9fee,
+    );
     let mut run = cancelling_rack();
     run.run_to_completion();
     let report = run.report();
@@ -170,7 +219,11 @@ fn event_core_matches_lockstep_under_loser_cancellation() {
 
 #[test]
 fn event_core_matches_lockstep_at_the_time_limit() {
-    assert_equivalent(time_limited_rack, "time-limited drain");
+    assert_equivalent(
+        time_limited_rack,
+        "time-limited drain",
+        0xafd5_8360_84d4_858b,
+    );
 }
 
 /// Mid-run parity: a report taken *before* the queue drains must also
@@ -276,10 +329,14 @@ fn seeded_faulted_rack(seed: u64, response: FaultResponse) -> ClusterSession {
 /// bites (nonzero fault counters).
 #[test]
 fn event_core_matches_lockstep_under_dense_faults() {
-    for response in [FaultResponse::Aware, FaultResponse::Oblivious] {
+    for (response, pinned) in [
+        (FaultResponse::Aware, 0xb0b7_cce9_a750_b26c),
+        (FaultResponse::Oblivious, 0x4439_6ac2_c875_5b23),
+    ] {
         assert_equivalent(
             || faulted_rationed_rack(response),
             &format!("dense faults ({response:?})"),
+            pinned,
         );
     }
     let mut run = faulted_rationed_rack(FaultResponse::Aware);

@@ -59,6 +59,14 @@ fn event_driven_facility_matches_lockstep_at_1_2_and_8_workers() {
 
     let oracle = lockstep.run(1);
     assert_eq!(oracle.completed, 16, "every task completes");
+    // Both engines share every scheduler pass, so a change that moves
+    // them together would pass the equivalence check below: the
+    // lockstep digest is pinned too.
+    assert_eq!(
+        oracle.digest(),
+        0x0fc9_b4ce_f35b_dc36,
+        "the lockstep facility report moved off its pinned digest"
+    );
     assert!(oracle.all_drained);
 
     for threads in [1usize, 2, 8] {
