@@ -37,6 +37,12 @@ pub struct L1Cache {
     sets: usize,
     ways: usize,
     set_mask: u64,
+    /// Per-slot line tags, read only where the way's state is valid.
+    /// No slot exists until the first insert, so a core that never
+    /// touches memory costs no memory (the rule [`crate::llc::Llc`]
+    /// follows). An unallocated cache behaves exactly like an
+    /// all-invalid one: the victim rule takes the first invalid way and
+    /// never compares the stamps of invalid ways.
     tags: Vec<u64>,
     states: Vec<LineState>,
     /// Per-way last-use stamps for LRU (monotone counter).
@@ -53,12 +59,9 @@ impl L1Cache {
             sets,
             ways: cfg.ways,
             set_mask: sets as u64 - 1,
-            // Tags are only read where the way's state is valid, so
-            // their initial value is free: zero lets the allocation stay
-            // untouched until a line is inserted.
-            tags: vec![0; sets * cfg.ways],
-            states: vec![LineState::Invalid; sets * cfg.ways],
-            stamps: vec![0; sets * cfg.ways],
+            tags: Vec::new(),
+            states: Vec::new(),
+            stamps: Vec::new(),
             tick: 0,
         }
     }
@@ -73,30 +76,33 @@ impl L1Cache {
         set * self.ways + way
     }
 
-    /// Looks up a line, updating LRU on hit. Returns its state if present.
-    pub fn lookup(&mut self, line: u64) -> Option<LineState> {
-        let set = self.set_of(line);
-        for way in 0..self.ways {
-            let s = self.slot(set, way);
-            if self.tags[s] == line && self.states[s] != LineState::Invalid {
-                self.tick += 1;
-                self.stamps[s] = self.tick;
-                return Some(self.states[s]);
+    /// The slot holding `line`, if it is resident. Before the first
+    /// insert there are no slots, and the bounds check every lookup
+    /// already pays answers "not resident".
+    #[inline]
+    fn find(&self, line: u64) -> Option<usize> {
+        let base = self.set_of(line) * self.ways;
+        let tags = self.tags.get(base..base + self.ways)?;
+        let states = &self.states[base..base + self.ways];
+        for way in 0..tags.len() {
+            if tags[way] == line && states[way] != LineState::Invalid {
+                return Some(base + way);
             }
         }
         None
     }
 
+    /// Looks up a line, updating LRU on hit. Returns its state if present.
+    pub fn lookup(&mut self, line: u64) -> Option<LineState> {
+        let s = self.find(line)?;
+        self.tick += 1;
+        self.stamps[s] = self.tick;
+        Some(self.states[s])
+    }
+
     /// Returns the state without touching LRU (for directory probes).
     pub fn probe(&self, line: u64) -> Option<LineState> {
-        let set = self.set_of(line);
-        for way in 0..self.ways {
-            let s = self.slot(set, way);
-            if self.tags[s] == line && self.states[s] != LineState::Invalid {
-                return Some(self.states[s]);
-            }
-        }
-        None
+        self.find(line).map(|s| self.states[s])
     }
 
     /// Sets the state of a resident line.
@@ -105,21 +111,23 @@ impl L1Cache {
     ///
     /// Panics if the line is not resident.
     pub fn set_state(&mut self, line: u64, state: LineState) {
-        let set = self.set_of(line);
-        for way in 0..self.ways {
-            let s = self.slot(set, way);
-            if self.tags[s] == line && self.states[s] != LineState::Invalid {
-                self.states[s] = state;
-                return;
-            }
-        }
-        panic!("set_state on non-resident line {line:#x}");
+        let Some(s) = self.find(line) else {
+            panic!("set_state on non-resident line {line:#x}");
+        };
+        self.states[s] = state;
     }
 
     /// Inserts a line (after a miss), evicting the LRU way if necessary.
-    /// Returns the victim, if one was displaced.
+    /// Returns the victim, if one was displaced. The first insert
+    /// allocates every set.
     pub fn insert(&mut self, line: u64, state: LineState) -> Option<Evicted> {
         debug_assert!(state != LineState::Invalid, "cannot insert invalid line");
+        if self.states.is_empty() {
+            let slots = self.sets * self.ways;
+            self.tags = vec![0; slots];
+            self.states = vec![LineState::Invalid; slots];
+            self.stamps = vec![0; slots];
+        }
         let set = self.set_of(line);
         // Prefer an invalid way, else the least recently used.
         let mut victim_way = 0;
@@ -154,31 +162,21 @@ impl L1Cache {
     /// Invalidates a line (directory-initiated), returning its prior state
     /// if it was resident.
     pub fn invalidate(&mut self, line: u64) -> Option<LineState> {
-        let set = self.set_of(line);
-        for way in 0..self.ways {
-            let s = self.slot(set, way);
-            if self.tags[s] == line && self.states[s] != LineState::Invalid {
-                let prior = self.states[s];
-                self.states[s] = LineState::Invalid;
-                return Some(prior);
-            }
-        }
-        None
+        let s = self.find(line)?;
+        let prior = self.states[s];
+        self.states[s] = LineState::Invalid;
+        Some(prior)
     }
 
     /// Downgrades an M/E line to Shared (directory-initiated on a remote
     /// read). Returns true if the line was dirty (needed a writeback).
     pub fn downgrade_to_shared(&mut self, line: u64) -> bool {
-        let set = self.set_of(line);
-        for way in 0..self.ways {
-            let s = self.slot(set, way);
-            if self.tags[s] == line && self.states[s] != LineState::Invalid {
-                let dirty = self.states[s] == LineState::Modified;
-                self.states[s] = LineState::Shared;
-                return dirty;
-            }
-        }
-        false
+        let Some(s) = self.find(line) else {
+            return false;
+        };
+        let dirty = self.states[s] == LineState::Modified;
+        self.states[s] = LineState::Shared;
+        dirty
     }
 
     /// Number of resident lines (diagnostics).
@@ -189,19 +187,24 @@ impl L1Cache {
             .count()
     }
 
-    /// Lists all resident lines with their states (used to flush a core's
-    /// L1 when it is powered down).
+    /// Lists all resident lines with their states, set by set (used to
+    /// flush a core's L1 when it is powered down). An unallocated cache
+    /// lists nothing and allocates nothing.
     pub fn resident_line_list(&self) -> Vec<(u64, LineState)> {
-        let mut out = Vec::new();
-        for set in 0..self.sets {
-            for way in 0..self.ways {
-                let s = self.slot(set, way);
-                if self.states[s] != LineState::Invalid {
-                    out.push((self.tags[s], self.states[s]));
-                }
-            }
-        }
-        out
+        self.tags
+            .iter()
+            .zip(&self.states)
+            .filter(|(_, state)| **state != LineState::Invalid)
+            .map(|(&tag, &state)| (tag, state))
+            .collect()
+    }
+
+    /// Bytes held by the slot arrays: zero until the first insert.
+    #[cfg(test)]
+    pub(crate) fn slot_bytes(&self) -> usize {
+        self.tags.capacity() * std::mem::size_of::<u64>()
+            + self.states.capacity() * std::mem::size_of::<LineState>()
+            + self.stamps.capacity() * std::mem::size_of::<u64>()
     }
 }
 
@@ -273,18 +276,57 @@ mod tests {
 
     #[test]
     fn zeroed_tags_never_fake_a_hit_on_line_zero() {
-        // A fresh cache's tags are all zero, the tag of line 0: only the
-        // way states may decide residency.
+        // The first insert allocates every way with a zero tag, the tag
+        // of line 0: only the way states may decide residency. Line 2
+        // shares set 0 with line 0, so one of set 0's ways stays empty.
         let mut c = small_cache();
+        assert_eq!(c.insert(2, LineState::Shared), None);
         assert_eq!(c.lookup(0), None);
         assert_eq!(c.probe(0), None);
         assert_eq!(c.invalidate(0), None);
         assert!(!c.downgrade_to_shared(0));
-        assert_eq!(c.resident_lines(), 0);
-        assert!(c.resident_line_list().is_empty());
+        assert_eq!(c.resident_lines(), 1);
+        assert_eq!(c.resident_line_list(), vec![(2, LineState::Shared)]);
         assert_eq!(c.insert(0, LineState::Modified), None);
         assert_eq!(c.lookup(0), Some(LineState::Modified));
-        assert_eq!(c.resident_line_list(), vec![(0, LineState::Modified)]);
+        assert_eq!(
+            c.resident_line_list(),
+            vec![(2, LineState::Shared), (0, LineState::Modified)]
+        );
+    }
+
+    #[test]
+    fn an_unused_l1_allocates_no_slots() {
+        // An idle core's L1 is never inserted into: every query must
+        // answer "not resident" without allocating.
+        let mut c = small_cache();
+        for line in [0, 1, 3, u64::MAX - 1] {
+            assert_eq!(c.lookup(line), None);
+            assert_eq!(c.probe(line), None);
+            assert_eq!(c.invalidate(line), None);
+            assert!(!c.downgrade_to_shared(line));
+        }
+        assert_eq!(c.resident_lines(), 0);
+        let list = c.resident_line_list();
+        assert!(list.is_empty());
+        assert_eq!(list.capacity(), 0);
+        assert_eq!(c.slot_bytes(), 0);
+    }
+
+    #[test]
+    fn the_first_insert_allocates_every_set() {
+        let mut c = small_cache();
+        assert!(c.insert(1, LineState::Exclusive).is_none());
+        assert_eq!(c.states.len(), c.sets * c.ways);
+        assert_eq!(c.slot_bytes(), 4 * (8 + 1 + 8));
+        // Both sets fill to their full associativity before anything is
+        // displaced.
+        for line in [0, 2, 3] {
+            assert!(c.insert(line, LineState::Shared).is_none(), "line {line}");
+        }
+        assert_eq!(c.resident_lines(), 4);
+        let victim = c.insert(4, LineState::Shared).expect("set 0 is full");
+        assert_eq!(victim.line, 0);
     }
 
     #[test]

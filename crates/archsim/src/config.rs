@@ -171,9 +171,15 @@ impl MachineConfig {
     ///
     /// # Panics
     ///
-    /// Panics on degenerate cache geometry or non-positive frequency.
+    /// Panics on degenerate cache geometry, non-positive frequency, or
+    /// more than 64 cores (the directory's sharer mask has one bit per
+    /// core in a `u64`).
     pub fn validate(&self) {
         assert!(self.cores > 0, "at least one core required");
+        assert!(
+            self.cores <= 64,
+            "at most 64 cores: the directory's sharer mask is a u64, one bit per core"
+        );
         assert!(self.freq_ghz > 0.0, "frequency must be positive");
         assert!(self.memory.channels > 0, "at least one memory channel");
         assert!(
@@ -241,5 +247,13 @@ mod tests {
     #[should_panic(expected = "at least one core")]
     fn zero_cores_rejected() {
         let _ = MachineConfig::hpca().with_cores(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "sharer mask is a u64")]
+    fn more_cores_than_sharer_bits_rejected() {
+        // Core 64 would alias core 0's sharer bit (or overflow the shift
+        // in a debug build) and corrupt coherence.
+        MachineConfig::hpca().with_cores(65).validate();
     }
 }

@@ -103,6 +103,9 @@ struct MemSystem {
     llc_hit_ps: u64,
     /// Extra latency for directory interventions (remote L1 access).
     remote_penalty_ps: u64,
+    /// `log2` of the line size: an address's line number is
+    /// `addr >> line_shift`.
+    line_shift: u32,
 }
 
 struct AccessOutcome {
@@ -121,7 +124,7 @@ impl MemSystem {
         now_ps: u64,
         stats: &mut Stats,
     ) -> AccessOutcome {
-        let line = addr >> 6;
+        let line = addr >> self.line_shift;
         let bit = 1u64 << core;
         let mut latency = 0u64;
         let mut energy = self.energy.l1_access_j;
@@ -266,18 +269,12 @@ impl MemSystem {
     }
 
     /// Flushes a core's L1 (used when powering a core down), writing back
-    /// dirty lines and updating the directory.
+    /// dirty lines and updating the directory. A core that never touched
+    /// memory has no L1 slots, so its flush lists nothing and returns.
     fn flush_l1(&mut self, core: usize, now_ps: u64) {
         let bit = 1u64 << core;
         // Collect resident lines first (cannot iterate and mutate).
-        let lines: Vec<(u64, LineState)> = {
-            let l1 = &self.l1s[core];
-            // Probe every possible slot via a full state walk: the cache
-            // exposes no iterator, so reconstruct from invalidate calls by
-            // walking all lines it reports resident.
-            l1.resident_line_list()
-        };
-        for (line, state) in lines {
+        for (line, state) in self.l1s[core].resident_line_list() {
             self.l1s[core].invalidate(line);
             if let Some(dir) = self.llc.lookup_mut(line) {
                 dir.sharers &= !bit;
@@ -370,6 +367,7 @@ impl Machine {
             energy: cfg.energy,
             llc_hit_ps: cfg.llc.hit_latency_cycles * cycle_ps,
             remote_penalty_ps: 15 * cycle_ps,
+            line_shift: cfg.llc.line_bytes.trailing_zeros(),
         };
         let cores = (0..cfg.cores)
             .map(|_| CoreState {
@@ -1310,5 +1308,47 @@ mod tests {
             (t4 as f64) < 2.0 * t1 as f64,
             "4 streaming cores should not saturate two channels: t1={t1}, t4={t4}"
         );
+    }
+
+    #[test]
+    fn an_idle_machine_powers_down_without_allocating() {
+        // Idle servers build a machine they never run: powering its cores
+        // down must flush fifteen L1s that have no slots to flush.
+        let mut m = small_machine(16);
+        m.set_active_cores(1);
+        assert_eq!(m.active_cores(), 1);
+        for (core, l1) in m.mem.l1s.iter().enumerate() {
+            assert_eq!(l1.slot_bytes(), 0, "core {core}");
+        }
+        assert_eq!(m.mem.llc.resident_lines(), 0);
+    }
+
+    #[test]
+    fn a_one_thread_run_allocates_only_core_zeros_l1() {
+        let mut m = small_machine(16);
+        m.spawn(Box::new(SyntheticKernel::new(4, 500, 1 << 20, 64)));
+        assert!(m.run_to_completion(1_000_000, 100_000).all_done);
+        assert!(m.mem.l1s[0].slot_bytes() > 0);
+        for (core, l1) in m.mem.l1s.iter().enumerate().skip(1) {
+            assert_eq!(l1.slot_bytes(), 0, "core {core}");
+        }
+        m.check_coherence().unwrap();
+    }
+
+    #[test]
+    fn the_configured_line_size_splits_addresses() {
+        // A 64 B-stride stream touches each 128 B line twice: the second
+        // access hits. With 64 B lines every access is a new line.
+        let l1_hits = |line_bytes: usize| {
+            let mut cfg = MachineConfig::hpca().with_cores(1);
+            cfg.l1.line_bytes = line_bytes;
+            cfg.llc.line_bytes = line_bytes;
+            let mut m = Machine::new(cfg);
+            m.spawn(Box::new(SyntheticKernel::new(1, 4096, 1 << 20, 64)));
+            assert!(m.run_to_completion(1_000_000, 100_000).all_done);
+            (m.stats().l1_hits, m.stats().l1_misses)
+        };
+        assert_eq!(l1_hits(64), (0, 4096));
+        assert_eq!(l1_hits(128), (2048, 2048));
     }
 }

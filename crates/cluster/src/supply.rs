@@ -50,6 +50,14 @@
 //! already has. Settlement drains the reserve by the over-cap deficit
 //! (or recharges it from spare busbar headroom when under cap) and
 //! latches the brownout flag the views' draws consult.
+//!
+//! The total a settlement charges is the recorded draws summed in node
+//! order. The pool caches that sum and re-sums only after some recorded
+//! draw changed bitwise, so a window in which every node re-records the
+//! draw it already had costs node 0 one load, not a walk over the
+//! fleet. The scheduler's [`RackSupply::total_draw_w`] and
+//! [`RackSupply::headroom_w`] read the same cached sum, which is
+//! bit-identical to summing afresh.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -147,6 +155,9 @@ struct SupplyShared {
     recharge_w: f64,
     /// Per-node upstream draw telemetry, watts (last reported).
     node_draw_w: Vec<f64>,
+    /// `node_draw_w` summed in node order, watts; `None` from a bitwise
+    /// change of a recorded draw until the next read re-sums it.
+    total_draw_w: Option<f64>,
     /// How far node 0 has settled pool energy, seconds.
     settled_to_s: f64,
     /// Latched by settlement: the bus cannot serve the recorded
@@ -196,6 +207,22 @@ impl SupplyShared {
 }
 
 impl SupplyShared {
+    /// Records node `node`'s upstream draw. Only a bitwise change
+    /// drops the cached total.
+    fn record_draw(&mut self, node: usize, watts: f64) {
+        if self.node_draw_w[node].to_bits() != watts.to_bits() {
+            self.node_draw_w[node] = watts;
+            self.total_draw_w = None;
+        }
+    }
+
+    /// The recorded draws summed in node order, watts.
+    fn total_draw_w(&mut self) -> f64 {
+        *self
+            .total_draw_w
+            .get_or_insert_with(|| self.node_draw_w.iter().sum())
+    }
+
     /// Settles node 0's next `dt_s` (see the module docs). The pool is
     /// charged for the interval the settled clock actually moves,
     /// `(settled_to_s + dt_s) - settled_to_s`, which can differ from
@@ -210,7 +237,7 @@ impl SupplyShared {
 
     /// Settles `dt_s` of pool energy against the recorded draws.
     fn settle(&mut self, dt_s: f64) {
-        let total: f64 = self.node_draw_w.iter().sum();
+        let total = self.total_draw_w();
         if total > self.cap_w {
             let deficit_j = (total - self.cap_w) * dt_s;
             if deficit_j <= self.reserve_j {
@@ -273,6 +300,7 @@ impl RackSupply {
             reserve_capacity_j: params.reserve_capacity_j,
             recharge_w: params.reserve_recharge_w,
             node_draw_w: vec![0.0; nodes],
+            total_draw_w: Some(0.0),
             settled_to_s: 0.0,
             brownout: false,
             brownout_intervals: 0,
@@ -370,14 +398,14 @@ impl RackSupply {
     /// Live total upstream draw across all nodes, watts (telemetry the
     /// cluster scheduler may act on; node governors never see it).
     pub fn total_draw_w(&self) -> f64 {
-        self.shared.borrow().node_draw_w.iter().sum()
+        self.shared.borrow_mut().total_draw_w()
     }
 
     /// Live feed headroom below the cap, watts (negative while the
     /// reserve covers an overdraw).
     pub fn headroom_w(&self) -> f64 {
-        let s = self.shared.borrow();
-        s.cap_w - s.node_draw_w.iter().sum::<f64>()
+        let mut s = self.shared.borrow_mut();
+        s.cap_w - s.total_draw_w()
     }
 
     /// One node's live upstream draw, watts.
@@ -481,7 +509,7 @@ impl NodeSupplyView {
 impl PowerSupply for NodeSupplyView {
     fn draw(&mut self, power_w: f64, dt_s: f64) -> Result<(), SupplyError> {
         let mut s = self.shared.borrow_mut();
-        s.node_draw_w[self.node] = power_w.max(0.0);
+        s.record_draw(self.node, power_w.max(0.0));
         if self.node == 0 {
             s.advance(dt_s);
         }
@@ -515,7 +543,7 @@ impl PowerSupply for NodeSupplyView {
 
     fn idle_recharge(&mut self, dt_s: f64) -> f64 {
         let mut s = self.shared.borrow_mut();
-        s.node_draw_w[self.node] = self.idle_draw_w;
+        s.record_draw(self.node, self.idle_draw_w);
         if self.node != 0 {
             // Node 0 already settled this interval and accounted the
             // energy that flowed back.
@@ -535,7 +563,9 @@ impl PowerSupply for NodeSupplyView {
         if self.node != 0 {
             // Every looped call would store the same idle draw and gain
             // nothing, so one store is the whole replay.
-            self.shared.borrow_mut().node_draw_w[self.node] = self.idle_draw_w;
+            self.shared
+                .borrow_mut()
+                .record_draw(self.node, self.idle_draw_w);
             return 0.0;
         }
         let mut gained = 0.0;
@@ -586,6 +616,48 @@ mod tests {
         }
         assert_eq!(pool.total_draw_w(), 80.0);
         assert_eq!(pool.headroom_w(), -40.0);
+    }
+
+    #[test]
+    fn the_cached_settlement_sum_reproduces_the_eager_sum() {
+        // Draws whose sums round. Every settlement must charge the
+        // reserve exactly what summing the recorded draws afresh would,
+        // including after a follower's draw changed and changed back
+        // between two settlements, and after one that changed for good.
+        let cap = 7.0;
+        let dt = 0.5;
+        let pool = pool4(cap, 1e6);
+        let mut views: Vec<NodeSupplyView> = (0..4).map(|n| pool.node_view(n)).collect();
+        let mut draws = [0.1, 0.7, 2.3, 5.9];
+        let mut recorded = [0.0; 4];
+        let mut reserve = 1e6_f64;
+        for window in 0..12 {
+            views[0].draw(draws[0], dt).unwrap();
+            recorded[0] = draws[0];
+            let total: f64 = recorded.iter().sum();
+            if window > 0 {
+                assert!(total > cap, "the model covers over-cap windows only");
+                reserve -= (total - cap) * dt;
+            }
+            assert_eq!(
+                pool.reserve_j().to_bits(),
+                reserve.to_bits(),
+                "window {window}"
+            );
+            if window % 3 == 1 {
+                views[2].draw(40.0, dt).unwrap();
+            }
+            if window % 3 == 2 {
+                draws[3] += 0.3;
+            }
+            for n in 1..4 {
+                views[n].draw(draws[n], dt).unwrap();
+                recorded[n] = draws[n];
+            }
+            let total: f64 = recorded.iter().sum();
+            assert_eq!(pool.total_draw_w().to_bits(), total.to_bits());
+            assert_eq!(pool.headroom_w().to_bits(), (cap - total).to_bits());
+        }
     }
 
     #[test]

@@ -704,7 +704,11 @@ pub struct GridThermal {
     g_vert: Vec<f64>,
     /// Per-cell last-layer-to-ambient conductance, W/K.
     g_sink_cell: f64,
-    chip_power_w: f64,
+    /// Total chip power of a uniform split (`set_chip_power_w`, or an
+    /// active-core change), watts. `None` once a per-core write changed
+    /// the map: the total is then the sum of `core_power_w`, taken when
+    /// read, so a rack's many per-node writes never re-sum the fleet.
+    chip_power_w: Option<f64>,
     /// Per-core power, watts — the source of truth behind `power_w`.
     /// Written either uniformly (the `set_chip_power_w` split over
     /// `active_cores`) or individually (`set_core_power_w`, the rack
@@ -727,8 +731,11 @@ pub struct GridThermal {
     /// junction/headroom/limit queries of the sprint controller from
     /// O(cells) scans into loads.
     junction_cache_c: f64,
-    /// Peak temperature seen per core (max over its cells), Celsius.
-    peak_core_temps_c: Vec<f64>,
+    /// Peak temperature seen per die cell, Celsius. A core's peak is
+    /// the hottest of its footprint's cell peaks, folded on demand by
+    /// [`Self::peak_core_temps_c`] (max commutes with max), so tracking
+    /// costs one pass over the die cells however many cores share them.
+    peak_cell_temps_c: Vec<f64>,
     scratch_temps: Vec<f64>,
     /// One layer plane of gathered operator terms, W.
     scratch_flows: Vec<f64>,
@@ -909,7 +916,7 @@ impl GridThermal {
             lat_gy,
             g_vert,
             g_sink_cell: g_sink,
-            chip_power_w: 0.0,
+            chip_power_w: Some(0.0),
             core_power_w: vec![0.0; cores],
             core_power_dirty: false,
             active_cores: cores,
@@ -919,7 +926,7 @@ impl GridThermal {
             boundary_absorbed_j: 0.0,
             peak_hotspot_gradient_k: 0.0,
             junction_cache_c: ambient,
-            peak_core_temps_c: vec![ambient; cores],
+            peak_cell_temps_c: vec![ambient; cells],
             scratch_temps: vec![0.0; n],
             scratch_flows: vec![0.0; cells],
             adi_rhs: vec![0.0; n],
@@ -997,8 +1004,7 @@ impl GridThermal {
     /// Panics on a non-finite power.
     pub fn set_chip_power_w(&mut self, watts: f64) {
         assert!(watts.is_finite(), "power must be finite");
-        self.chip_power_w = watts;
-        self.apply_power_map();
+        self.apply_power_map(watts);
     }
 
     /// Sets how many cores the chip power is spread over (clamped to
@@ -1007,7 +1013,7 @@ impl GridThermal {
         let n = n.clamp(1, self.core_cells.len());
         if n != self.active_cores {
             self.active_cores = n;
-            self.apply_power_map();
+            self.apply_power_map(self.chip_power_w());
         }
     }
 
@@ -1016,15 +1022,18 @@ impl GridThermal {
         self.active_cores
     }
 
-    /// Total chip power currently injected, watts.
+    /// Total chip power currently injected, watts. After per-core
+    /// writes this sums the per-core powers in core order on each call.
     pub fn chip_power_w(&self) -> f64 {
         self.chip_power_w
+            .unwrap_or_else(|| self.core_power_w.iter().sum())
     }
 
     /// Sets one core's power individually, leaving every other core's
     /// untouched — the rack path, where each floorplan "core" is a
     /// server carrying its own load. The total chip power becomes the
-    /// sum of the per-core powers; a later [`set_chip_power_w`]
+    /// sum of the per-core powers, taken when read; a later
+    /// [`set_chip_power_w`]
     /// (uniform split over the active cores) overwrites the whole map
     /// again, so the two interfaces compose without hidden state.
     ///
@@ -1043,7 +1052,7 @@ impl GridThermal {
             return;
         }
         self.core_power_w[core] = watts;
-        self.chip_power_w = self.core_power_w.iter().sum();
+        self.chip_power_w = None;
         // The cell map rebuild is deferred to the next `advance`: the
         // rebuild is always from zero (bit-stable, unlike a running
         // +=/-= delta), and deferring coalesces the many per-node
@@ -1060,8 +1069,10 @@ impl GridThermal {
         self.core_power_w[core]
     }
 
-    fn apply_power_map(&mut self) {
-        let per_core = self.chip_power_w / self.active_cores as f64;
+    /// Splits `watts` evenly over the active cores.
+    fn apply_power_map(&mut self, watts: f64) {
+        self.chip_power_w = Some(watts);
+        let per_core = watts / self.active_cores as f64;
         for (c, p) in self.core_power_w.iter_mut().enumerate() {
             *p = if c < self.active_cores { per_core } else { 0.0 };
         }
@@ -1155,9 +1166,19 @@ impl GridThermal {
             .fold(f64::NEG_INFINITY, f64::max)
     }
 
-    /// Peak per-core hotspot temperatures over the whole run, Celsius.
-    pub fn peak_core_temps_c(&self) -> &[f64] {
-        &self.peak_core_temps_c
+    /// Peak per-core hotspot temperatures over the whole run, Celsius:
+    /// each core's hottest die cell at any `advance` since the last
+    /// reset. Computed on demand from the per-cell peaks, in core order.
+    pub fn peak_core_temps_c(&self) -> Vec<f64> {
+        self.core_cells
+            .iter()
+            .map(|footprint| {
+                footprint
+                    .iter()
+                    .map(|&(cell, _)| self.peak_cell_temps_c[cell])
+                    .fold(f64::NEG_INFINITY, f64::max)
+            })
+            .collect()
     }
 
     /// Overall melt fraction: melted latent heat over total latent heat
@@ -1330,9 +1351,7 @@ impl GridThermal {
             h.fill(ambient * cl.capacity_j_per_k);
         }
         self.peak_hotspot_gradient_k = 0.0;
-        for t in &mut self.peak_core_temps_c {
-            *t = ambient;
-        }
+        self.peak_cell_temps_c.fill(ambient);
         // The same fold the old on-demand query ran, so the cached
         // junction is bit-identical to it (the round-trip through
         // enthalpy can land an ulp off `ambient`).
@@ -1667,29 +1686,23 @@ impl GridThermal {
 
     fn track_peaks(&mut self) {
         // One conversion of the die layer serves the gradient tracker,
-        // the junction cache (the hottest die cell) and the per-core
-        // peaks.
+        // the junction cache (the hottest die cell) and the per-cell
+        // peaks. Its cost follows the cells, not the cores: a rack of
+        // many servers per cell pays nothing per server.
         let cells = self.cells_per_layer;
-        let die = &mut self.scratch_temps[..cells];
+        let h = &self.enthalpy_j[..cells];
+        let peaks = &mut self.peak_cell_temps_c[..cells];
         let cl = &self.cell_layers[0];
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
-        for (t, &h) in die.iter_mut().zip(&self.enthalpy_j) {
-            *t = cell_temp_of(h, cl.capacity_j_per_k, &cl.phase);
-            lo = lo.min(*t);
-            hi = hi.max(*t);
+        for k in 0..cells {
+            let t = cell_temp_of(h[k], cl.capacity_j_per_k, &cl.phase);
+            lo = lo.min(t);
+            hi = hi.max(t);
+            peaks[k] = peaks[k].max(t);
         }
         self.junction_cache_c = hi;
         self.peak_hotspot_gradient_k = self.peak_hotspot_gradient_k.max(hi - lo);
-        for (peak, footprint) in self.peak_core_temps_c.iter_mut().zip(&self.core_cells) {
-            let t = footprint
-                .iter()
-                .map(|&(cell, _)| die[cell])
-                .fold(f64::NEG_INFINITY, f64::max);
-            if t > *peak {
-                *peak = t;
-            }
-        }
     }
 }
 
@@ -1938,6 +1951,61 @@ mod tests {
         assert!((g.junction_temp_c() - 25.0).abs() < 1e-9);
         assert_eq!(g.peak_hotspot_gradient_k(), 0.0);
         assert_eq!(g.melt_fraction(), 0.0);
+        assert!(g.peak_core_temps_c().iter().all(|&t| t == 25.0));
+    }
+
+    /// Drives `params` through `windows` seeded windows of random
+    /// per-core power and checks [`GridThermal::peak_core_temps_c`]
+    /// bit for bit against a running max of every core's
+    /// [`GridThermal::core_temp_c`], taken after each `advance`.
+    fn peaks_match_a_running_core_max(params: GridThermalParams, windows: usize) {
+        let mut g = params.build();
+        let cores = g.params().floorplan.core_count();
+        let mut running = vec![g.ambient_c(); cores];
+        let mut state = 0x0dd_ba11_u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as f64 / (1u64 << 31) as f64
+        };
+        for window in 0..windows {
+            // Every fourth window idles the whole rack, so temperatures
+            // fall as well as rise and the peaks lag the readings.
+            for core in 0..cores {
+                let u = next();
+                let hot = window % 4 != 3 && u > 0.5;
+                g.set_core_power_w(core, if hot { 32.0 * u } else { 0.0 });
+            }
+            g.advance(0.05);
+            for (core, peak) in running.iter_mut().enumerate() {
+                *peak = peak.max(g.core_temp_c(core));
+            }
+            let peaks = g.peak_core_temps_c();
+            assert_eq!(peaks.len(), cores);
+            for (core, (a, b)) in peaks.iter().zip(&running).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "core {core}, window {window}");
+            }
+        }
+        assert!(
+            running.iter().any(|&t| t > g.ambient_c() + 1.0),
+            "the fixture must heat some core"
+        );
+    }
+
+    #[test]
+    fn core_peaks_fold_cell_peaks_when_servers_share_cells() {
+        // `sparse_fleet`'s shape: 1024 servers on 64 cells.
+        peaks_match_a_running_core_max(GridThermalParams::rack(32, 32).with_grid(8, 8), 24);
+    }
+
+    #[test]
+    fn core_peaks_fold_cell_peaks_when_servers_span_many_cells() {
+        // Four servers, each over dozens of the 16x16 grid's cells.
+        let params = GridThermalParams::rack(2, 2);
+        let g = params.clone().build();
+        assert!(g.core_cells.iter().all(|f| f.len() >= 16));
+        peaks_match_a_running_core_max(params, 24);
     }
 
     #[test]
@@ -2348,11 +2416,11 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits(), "ledger diverged {at}");
         }
         for (a, b) in engine
-            .peak_core_temps_c
+            .peak_cell_temps_c
             .iter()
-            .zip(&reference.peak_core_temps_c)
+            .zip(&reference.peak_cell_temps_c)
         {
-            assert_eq!(a.to_bits(), b.to_bits(), "core peak diverged {at}");
+            assert_eq!(a.to_bits(), b.to_bits(), "cell peak diverged {at}");
         }
     }
 
