@@ -116,9 +116,6 @@ pub enum ClusterEvent {
     },
 }
 
-/// Per-node supply factory for independently supplied clusters.
-type SupplyFactory = Box<dyn Fn(usize) -> Box<dyn PowerSupply>>;
-
 /// Per-node provisioning for a heterogeneous fleet: the node's machine
 /// configuration plus its commissioning-time weights in the rack's two
 /// shared pools.
@@ -412,38 +409,29 @@ impl ClusterReport {
     }
 }
 
-/// Nearest-rank percentile of completed-task latencies (NaN when no
-/// task has completed; `q` in `(0, 1]`). Sorted with `f64::total_cmp`:
-/// `partial_cmp(..).unwrap_or(Equal)` would leave a NaN latency
-/// wherever the sort happened to strand it, silently corrupting the
-/// order around it and poisoning an arbitrary rank instead of the top
-/// one. Completed outcomes are debug-asserted finite at completion, so
-/// a NaN here is already a bug — total order keeps it deterministic
-/// (NaN sorts above every number) instead of compounding it.
-fn latency_percentile_s(outcomes: &[TaskOutcome], q: f64) -> f64 {
-    if outcomes.is_empty() {
+/// Nearest-rank percentile of ascending `sorted` values (`q` in
+/// `(0, 1]`; NaN when empty): the p95 and p99 latencies of the rack
+/// and facility reports.
+pub fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
         return f64::NAN;
     }
-    let mut lat: Vec<f64> = outcomes.iter().map(|o| o.latency_s()).collect();
-    lat.sort_by(|a, b| a.total_cmp(b));
-    let rank = ((q * lat.len() as f64).ceil() as usize).clamp(1, lat.len());
-    lat[rank - 1]
+    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+    sorted[rank - 1]
 }
 
-/// A [`ClusterBuilder`] provisioning error: the requested cluster is
+/// A [`RackSpec`] provisioning error: the requested cluster is
 /// contradictory or unsatisfiable (a sprint draw no feed can carry, an
 /// admission threshold no cold node can meet, a fault plan naming
-/// nodes the rack does not have, …). [`ClusterBuilder::try_build`]
-/// returns these as values; [`ClusterBuilder::build`] panics with the
+/// nodes the rack does not have, …). [`RackSpec::try_build`]
+/// returns these as values; [`RackSpec::build`] panics with the
 /// same `Display` message, so existing panic-message expectations keep
 /// holding either way.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum ClusterBuildError {
-    /// `max_time_s` was zero, negative or NaN.
+    /// `max_time_s` was zero, negative, NaN or infinite.
     NonPositiveTimeLimit,
-    /// Both a shared rack supply and per-node supplies were requested.
-    ConflictingSupplies,
     /// A shared rack supply under `SupplyPolicy::Ignore` would never
     /// see a watt of telemetry.
     InertRackSupply,
@@ -498,9 +486,8 @@ pub enum ClusterBuildError {
 impl std::fmt::Display for ClusterBuildError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::NonPositiveTimeLimit => f.write_str("cluster time limit must be positive"),
-            Self::ConflictingSupplies => {
-                f.write_str("rack_supply and node_supply are mutually exclusive")
+            Self::NonPositiveTimeLimit => {
+                f.write_str("cluster time limit must be positive and finite")
             }
             Self::InertRackSupply => f.write_str(
                 "a shared rack supply requires SupplyPolicy::EndSprint: \
@@ -550,7 +537,7 @@ impl std::fmt::Display for ClusterBuildError {
 
 impl std::error::Error for ClusterBuildError {}
 
-/// The fault-plan checks [`ClusterBuilder::try_build`] runs, in its
+/// The fault-plan checks [`RackSpec::try_build`] runs, in its
 /// order: a positive retry backoff, events sorted by `(window, node)`,
 /// every event on one of the rack's `nodes` nodes, and every supply
 /// collapse scale finite and above 1. Public so a tier that composes
@@ -582,7 +569,7 @@ pub fn check_fault_plan(plan: &FaultPlan, nodes: usize) -> Result<(), ClusterBui
     Ok(())
 }
 
-/// The task checks [`ClusterBuilder::try_build`] runs, in its order:
+/// The task checks [`RackSpec::try_build`] runs, in its order:
 /// every arrival finite and non-negative, every task at least one
 /// thread. Public so a tier that composes racks can vet every rack's
 /// queue before building any.
@@ -598,54 +585,73 @@ pub fn check_tasks(tasks: &[ClusterTask]) -> Result<(), ClusterBuildError> {
     Ok(())
 }
 
-/// Composes a rack, per-node machines, a policy and a task queue into a
-/// [`ClusterSession`].
-pub struct ClusterBuilder {
-    rack_params: GridThermalParams,
-    machine_config: MachineConfig,
-    node_specs: Option<Vec<NodeSpec>>,
-    placement: Placement,
-    config: SprintConfig,
-    policy: ClusterPolicy,
-    power: PowerPolicy,
-    supply_params: Option<RackSupplyParams>,
-    node_supplies: Option<SupplyFactory>,
-    fault_plan: Option<FaultPlan>,
-    tasks: Vec<ClusterTask>,
-    trace_capacity: usize,
-    max_time_s: f64,
+/// A rack, described once as plain data: its thermal grid, its nodes,
+/// its scheduler policies, its power pool, its task queue and its fault
+/// plan. The same description is the cluster builder (the setters chain
+/// from [`RackSpec::new`], and [`ClusterBuilder`] is its other name),
+/// the facility's per-rack recipe that a worker thread builds its
+/// non-`Send` [`ClusterSession`] from, and the template a
+/// `FacilityBuilder` stamps every rack from. [`build`](Self::build)
+/// borrows, so one description builds any number of identical
+/// sessions.
+#[derive(Debug, Clone)]
+pub struct RackSpec {
+    /// The rack's thermal grid parameters (one node per floorplan core).
+    pub thermal: GridThermalParams,
+    /// Every node's machine configuration, unless
+    /// [`node_specs`](Self::node_specs) is set.
+    pub machine: MachineConfig,
+    /// One [`NodeSpec`] per node, in node-index order, for a
+    /// heterogeneous rack. `None` puts [`machine`](Self::machine) on
+    /// every node at unit weights.
+    pub node_specs: Option<Vec<NodeSpec>>,
+    /// How ready tasks are placed onto idle nodes.
+    pub placement: Placement,
+    /// Sprint configuration admitted tasks run under (denied tasks run
+    /// it with `ExecutionMode::Sustained`).
+    pub config: SprintConfig,
+    /// The rack's thermal admission policy.
+    pub policy: ClusterPolicy,
+    /// The rack's power admission policy.
+    pub power: PowerPolicy,
+    /// The shared rack power-delivery pool, if the rack runs on one.
+    /// Its commissioned `cap_w` is the rack's PDU nameplate: the ceiling
+    /// no facility settlement will raise a live cap above.
+    pub supply: Option<RackSupplyParams>,
+    /// The rack's arrival queue.
+    pub tasks: Vec<ClusterTask>,
+    /// The window-stamped fault plan injected into the rack, if any.
+    pub fault: Option<FaultPlan>,
+    /// Per-node retained trace samples (0 disables tracing).
+    pub trace_capacity: usize,
+    /// Hard wall on the rack's simulated time, seconds.
+    pub max_time_s: f64,
 }
 
-impl std::fmt::Debug for ClusterBuilder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ClusterBuilder")
-            .field("nodes", &self.rack_params.floorplan.core_count())
-            .field("policy", &self.policy)
-            .field("power", &self.power)
-            .field("tasks", &self.tasks.len())
-            .finish_non_exhaustive()
-    }
-}
+/// [`RackSpec`]'s name as a builder: `ClusterBuilder::new(..)` chains
+/// setters and ends in `build()`.
+pub type ClusterBuilder = RackSpec;
 
-impl ClusterBuilder {
+impl RackSpec {
     /// Starts from a rack parameter set (typically
     /// `GridThermalParams::rack(cols, rows)`, time-scaled to taste);
     /// one node per floorplan core. Defaults: the paper's 16-core
     /// machine per node, `SprintConfig::hpca_parallel` for admitted
-    /// sprints, greedy-headroom admission, no tasks.
-    pub fn new(rack_params: GridThermalParams) -> Self {
+    /// sprints, greedy-headroom and power-oblivious admission, no pool,
+    /// no tasks, no fault plan, 2048 trace samples per node and a 10 s
+    /// time limit.
+    pub fn new(thermal: GridThermalParams) -> Self {
         Self {
-            rack_params,
-            machine_config: MachineConfig::hpca(),
+            thermal,
+            machine: MachineConfig::hpca(),
             node_specs: None,
             placement: Placement::PolicyDefault,
             config: SprintConfig::hpca_parallel(),
             policy: ClusterPolicy::greedy_default(),
             power: PowerPolicy::Oblivious,
-            supply_params: None,
-            node_supplies: None,
-            fault_plan: None,
+            supply: None,
             tasks: Vec::new(),
+            fault: None,
             trace_capacity: 2048,
             max_time_s: 10.0,
         }
@@ -655,7 +661,7 @@ impl ClusterBuilder {
     /// the homogeneous-fleet shorthand; [`Self::node_specs`] overrides
     /// it per node).
     pub fn machine(mut self, config: MachineConfig) -> Self {
-        self.machine_config = config;
+        self.machine = config;
         self
     }
 
@@ -700,23 +706,10 @@ impl ClusterBuilder {
     /// Puts every node on a shared rack power-delivery pool: each node
     /// receives a [`Regulator`](sprint_core::supply::Regulator) over
     /// its [`NodeSupplyView`](crate::supply::NodeSupplyView), carrying
-    /// `params`' loss curve. Mutually exclusive with
-    /// [`Self::node_supply`].
+    /// `params`' loss curve. Without a pool every node draws from an
+    /// ideal supply.
     pub fn rack_supply(mut self, params: RackSupplyParams) -> Self {
-        self.supply_params = Some(params);
-        self
-    }
-
-    /// Gives each node an *independent* supply from `factory` (e.g. a
-    /// per-server `HybridSupply`) instead of the shared pool. Mutually
-    /// exclusive with [`Self::rack_supply`]; idle nodes recharge these
-    /// supplies through the lockstep rest path exactly as a standalone
-    /// session's `rest` does.
-    pub fn node_supply(
-        mut self,
-        factory: impl Fn(usize) -> Box<dyn PowerSupply> + 'static,
-    ) -> Self {
-        self.node_supplies = Some(Box::new(factory));
+        self.supply = Some(params);
         self
     }
 
@@ -728,7 +721,7 @@ impl ClusterBuilder {
     /// healthy wrappers are bit-identical passthroughs, so a cluster
     /// without a plan reproduces its pre-fault digests exactly.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
+        self.fault = Some(plan);
         self
     }
 
@@ -750,6 +743,27 @@ impl ClusterBuilder {
         self
     }
 
+    /// The time limit in sampling windows, rounded up: the wall a built
+    /// session stops at, and the horizon a facility draws each rack's
+    /// seeded fault plan over.
+    ///
+    /// # Errors
+    ///
+    /// [`ClusterBuildError::NonPositiveTimeLimit`] unless `max_time_s`
+    /// is positive and finite: an infinite limit is no wall at all, and
+    /// a seeded plan over it never ends.
+    pub fn max_windows(&self) -> Result<u64, ClusterBuildError> {
+        if !(self.max_time_s.is_finite() && self.max_time_s > 0.0) {
+            return Err(ClusterBuildError::NonPositiveTimeLimit);
+        }
+        Ok((self.max_time_s / self.window_s()).ceil() as u64)
+    }
+
+    /// The sampling window, seconds.
+    fn window_s(&self) -> f64 {
+        self.config.sample_window_ps as f64 * 1e-12
+    }
+
     /// Builds the cluster: the shared rack grid, one sustained-armed
     /// session per node, and the arrival order.
     ///
@@ -758,7 +772,7 @@ impl ClusterBuilder {
     /// Panics on an invalid configuration/policy (their own
     /// `validate`), and on any provisioning edge [`Self::try_build`]
     /// rejects — with that [`ClusterBuildError`]'s `Display` message.
-    pub fn build(self) -> ClusterSession {
+    pub fn build(&self) -> ClusterSession {
         self.try_build().unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -767,27 +781,22 @@ impl ClusterBuilder {
     /// Config, policy and supply-parameter invariants still panic via
     /// their own `validate` — those are malformed *inputs*, not
     /// unsatisfiable *combinations*.
-    pub fn try_build(self) -> Result<ClusterSession, ClusterBuildError> {
+    pub fn try_build(&self) -> Result<ClusterSession, ClusterBuildError> {
         self.config.validate();
         self.policy.validate();
         self.power.validate();
-        if self.max_time_s <= 0.0 || self.max_time_s.is_nan() {
-            return Err(ClusterBuildError::NonPositiveTimeLimit);
-        }
-        if self.supply_params.is_some() && self.node_supplies.is_some() {
-            return Err(ClusterBuildError::ConflictingSupplies);
-        }
+        let max_windows = self.max_windows()?;
         // `SupplyPolicy::Ignore` makes sessions skip `supply.draw`
         // entirely, so a shared pool would never see a watt of
         // telemetry: no reserve drain, no brownouts, no power
         // admission signal. A study that configures a rack feed but
         // silently disconnects it reports vacuous zero-abort results —
         // reject the contradiction up front.
-        if self.supply_params.is_some() && self.config.supply_policy != SupplyPolicy::EndSprint {
+        if self.supply.is_some() && self.config.supply_policy != SupplyPolicy::EndSprint {
             return Err(ClusterBuildError::InertRackSupply);
         }
         if let PowerPolicy::Rationed { sprint_draw_w, .. } = self.power {
-            let Some(params) = self.supply_params.as_ref() else {
+            let Some(params) = self.supply else {
                 return Err(ClusterBuildError::RationingWithoutPool);
             };
             // A provisioned sprint draw the empty feed cannot carry
@@ -804,7 +813,7 @@ impl ClusterBuilder {
         // a deferring queue (head-of-line tasks wait forever for
         // headroom the rack cannot physically offer).
         if let Some(admit) = self.policy.admit_headroom_k() {
-            let max_headroom = self.rack_params.t_max_c - self.rack_params.ambient_c;
+            let max_headroom = self.thermal.t_max_c - self.thermal.ambient_c;
             if admit >= max_headroom {
                 return Err(ClusterBuildError::UnsatisfiableAdmission {
                     admit_headroom_k: admit,
@@ -813,77 +822,66 @@ impl ClusterBuilder {
             }
         }
         check_tasks(&self.tasks)?;
-        if let Some(plan) = &self.fault_plan {
-            check_fault_plan(plan, self.rack_params.floorplan.core_count())?;
+        let nodes_n = self.thermal.floorplan.core_count();
+        if let Some(plan) = &self.fault {
+            check_fault_plan(plan, nodes_n)?;
         }
         if let Some(specs) = &self.node_specs {
-            let nodes_n = self.rack_params.floorplan.core_count();
             if specs.len() != nodes_n {
                 return Err(ClusterBuildError::NodeSpecCountMismatch {
                     specs: specs.len(),
                     nodes: nodes_n,
                 });
             }
-            if !specs.iter().all(|s| {
-                s.share_weight.is_finite()
-                    && s.share_weight > 0.0
-                    && s.thermal_weight.is_finite()
-                    && s.thermal_weight > 0.0
-            }) {
-                return Err(ClusterBuildError::BadNodeSpecWeight);
-            }
+        }
+        // Every node goes through one path: its own spec, or the
+        // `machine` shorthand at unit weights. A unit weight changes
+        // nothing on either pool, so a homogeneous spec list and the
+        // shorthand build the identical rack.
+        let standard = NodeSpec::standard(self.machine.clone());
+        let spec = |n: usize| self.node_specs.as_ref().map_or(&standard, |s| &s[n]);
+        if !(0..nodes_n).map(spec).all(|s| {
+            s.share_weight.is_finite()
+                && s.share_weight > 0.0
+                && s.thermal_weight.is_finite()
+                && s.thermal_weight > 0.0
+        }) {
+            return Err(ClusterBuildError::BadNodeSpecWeight);
         }
         // Heterogeneous thermal footprints: scale each node's rack-plane
-        // rectangle by its spec's weight before the grid is built —
+        // rectangle by its weight before the grid is built —
         // `RackThermal` derives every node's nameplate sprint budget
         // from its own rect, so the budget follows the footprint. A
-        // weight of exactly 1.0 is a guaranteed no-op (`scale_core`
-        // early-outs), keeping homogeneous specs byte-identical.
-        let mut rack_params = self.rack_params;
-        if let Some(specs) = &self.node_specs {
-            for (n, s) in specs.iter().enumerate() {
-                rack_params.floorplan.scale_core(n, s.thermal_weight);
-            }
+        // weight of exactly 1.0 returns at once from `scale_core`.
+        let mut thermal = self.thermal.clone();
+        for n in 0..nodes_n {
+            thermal.floorplan.scale_core(n, spec(n).thermal_weight);
         }
-        let rack = RackThermal::new(rack_params.build());
-        let nodes_n = rack.nodes();
-        // Weighted nameplate cuts for a heterogeneous fleet; the unit-
-        // weight cut is bitwise `cap / nodes`, so a homogeneous spec
-        // list commissions the identical pool.
-        let supply_pool = self.supply_params.as_ref().map(|p| match &self.node_specs {
-            Some(specs) => {
-                let weights: Vec<f64> = specs.iter().map(|s| s.share_weight).collect();
-                RackSupply::new_weighted(*p, &weights)
-            }
-            None => RackSupply::new(*p, nodes_n),
+        let rack = RackThermal::new(thermal.build());
+        // Weighted nameplate cuts: the unit-weight cut is bitwise
+        // `cap / nodes`.
+        let supply_pool = self.supply.map(|p| {
+            let weights: Vec<f64> = (0..nodes_n).map(|n| spec(n).share_weight).collect();
+            RackSupply::new_weighted(p, &weights)
         });
         let mut sustained = self.config.clone();
         sustained.mode = ExecutionMode::Sustained;
-        let window_s = self.config.sample_window_ps as f64 * 1e-12;
         let nodes = (0..nodes_n)
             .map(|n| {
                 // Both ports wear the fault wrappers unconditionally:
                 // a healthy wrapper is a bit-identical passthrough, so
                 // plan-free clusters keep their pre-fault digests.
                 let fault = Rc::new(FaultState::default());
-                let supply: Box<dyn PowerSupply> =
-                    match (&self.supply_params, &supply_pool, &self.node_supplies) {
-                        (Some(params), Some(pool), _) => Box::new(FaultSupply::new(
-                            params.node_supply(pool, n),
-                            Rc::clone(&fault),
-                        )),
-                        (_, _, Some(factory)) => {
-                            Box::new(FaultSupply::new(factory(n), Rc::clone(&fault)))
-                        }
-                        _ => Box::new(FaultSupply::new(IdealSupply, Rc::clone(&fault))),
-                    };
-                let machine_config = match &self.node_specs {
-                    Some(specs) => specs[n].machine.clone(),
-                    None => self.machine_config.clone(),
+                let supply: Box<dyn PowerSupply> = match (self.supply, &supply_pool) {
+                    (Some(params), Some(pool)) => Box::new(FaultSupply::new(
+                        params.node_supply(pool, n),
+                        Rc::clone(&fault),
+                    )),
+                    _ => Box::new(FaultSupply::new(IdealSupply, Rc::clone(&fault))),
                 };
                 Node {
                     session: SprintSession::new(
-                        Machine::new(machine_config),
+                        Machine::new(spec(n).machine.clone()),
                         FaultSensor::new(rack.node_view(n), fault),
                         supply,
                         sustained.clone(),
@@ -910,17 +908,17 @@ impl ClusterBuilder {
             supply: supply_pool,
             power: self.power,
             nodes,
-            tasks: self.tasks,
+            tasks: self.tasks.clone(),
             arrival_order,
             next_arrival: 0,
             ready: VecDeque::new(),
-            policy: self.policy,
+            policy: self.policy.clone(),
             placement: self.placement,
-            sprint_config: self.config,
+            sprint_config: self.config.clone(),
             sustained_config: sustained,
-            window_s,
+            window_s: self.window_s(),
             windows: 0,
-            max_windows: (self.max_time_s / window_s).ceil() as u64,
+            max_windows,
             outcomes: Vec::new(),
             task_status: vec![TaskStatus::Open; task_count],
             task_copies: vec![0; task_count],
@@ -929,7 +927,7 @@ impl ClusterBuilder {
             events: Vec::new(),
             grant_order: Vec::new(),
             peak_junction_c: f64::NEG_INFINITY,
-            fault_plan: self.fault_plan,
+            fault_plan: self.fault.clone(),
             next_fault: 0,
             requeue: Vec::new(),
             next_requeue: 0,
@@ -1446,30 +1444,28 @@ impl ClusterSession {
             .iter()
             .map(|o| o.completed_s)
             .fold(0.0f64, f64::max);
-        // NaN when empty, like the mean and the percentiles: an empty
-        // run has no latencies, and a 0 here would read as "some task
-        // finished instantly" to anything ranking policies by tail.
-        let max_latency_s = if self.outcomes.is_empty() {
+        // The mean sums in completion order. Every latency statistic is
+        // NaN when empty: an empty run has no latencies, and a 0 would
+        // read as "some task finished instantly" to anything ranking
+        // policies by tail. The tail sorts with `f64::total_cmp`:
+        // completed outcomes are debug-asserted finite, so a NaN here is
+        // already a bug, and total order keeps it deterministic (NaN
+        // sorts above every number) instead of stranding it mid-slice.
+        let mut latencies: Vec<f64> = self.outcomes.iter().map(|o| o.latency_s()).collect();
+        let mean_latency_s = if latencies.is_empty() {
             f64::NAN
         } else {
-            self.outcomes
-                .iter()
-                .map(|o| o.latency_s())
-                .fold(f64::NEG_INFINITY, f64::max)
+            latencies.iter().sum::<f64>() / latencies.len() as f64
         };
-        let mean_latency_s = if self.outcomes.is_empty() {
-            f64::NAN
-        } else {
-            self.outcomes.iter().map(|o| o.latency_s()).sum::<f64>() / self.outcomes.len() as f64
-        };
+        latencies.sort_by(f64::total_cmp);
         ClusterReport {
             makespan_s,
             completed: self.outcomes.len(),
             total_tasks: self.tasks.len(),
             mean_latency_s,
-            p95_latency_s: latency_percentile_s(&self.outcomes, 0.95),
-            p99_latency_s: latency_percentile_s(&self.outcomes, 0.99),
-            max_latency_s,
+            p95_latency_s: nearest_rank(&latencies, 0.95),
+            p99_latency_s: nearest_rank(&latencies, 0.99),
+            max_latency_s: latencies.last().copied().unwrap_or(f64::NAN),
             peak_junction_c: if self.peak_junction_c.is_finite() {
                 self.peak_junction_c
             } else {
@@ -1900,27 +1896,33 @@ mod tests {
     /// `partial_cmp(..).unwrap_or(Equal)` sort a NaN latency was left
     /// wherever the comparison happened to strand it, corrupting the
     /// order of the *finite* latencies around it. `total_cmp` pins NaN
-    /// above every number, so the finite ranks stay correct and
-    /// deterministic even in the presence of a poisoned outcome.
+    /// above every number, so the report's finite ranks stay correct
+    /// and deterministic even in the presence of a poisoned outcome.
     #[test]
     fn latency_percentile_is_nan_robust() {
-        let outcomes: Vec<TaskOutcome> = [3.0, 1.0, f64::NAN, 2.0]
-            .iter()
-            .enumerate()
-            .map(|(i, &l)| outcome_with_latency(i, l))
-            .collect();
-        // Sorted under total order: [1, 2, 3, NaN].
-        assert_eq!(latency_percentile_s(&outcomes, 0.5), 2.0);
-        assert_eq!(latency_percentile_s(&outcomes, 0.75), 3.0);
-        assert!(latency_percentile_s(&outcomes, 1.0).is_nan());
+        let report_of = |latencies: &[f64]| {
+            let mut session = RackSpec::new(GridThermalParams::rack(1, 1)).build();
+            session.outcomes = latencies
+                .iter()
+                .enumerate()
+                .map(|(i, &l)| outcome_with_latency(i, l))
+                .collect();
+            session.report()
+        };
+        // 99 finite latencies, shuffled, with a NaN among them: sorted
+        // under total order they read [1, 2, ..., 99, NaN].
+        let mut poisoned: Vec<f64> = (1..=99).map(|i| ((i * 37) % 99 + 1) as f64).collect();
+        poisoned.insert(40, f64::NAN);
+        let report = report_of(&poisoned);
+        assert_eq!(report.p95_latency_s, 95.0);
+        assert_eq!(report.p99_latency_s, 99.0);
+        assert!(report.max_latency_s.is_nan());
         // All-finite ranks are unaffected.
-        let finite: Vec<TaskOutcome> = [5.0, 4.0, 6.0]
-            .iter()
-            .enumerate()
-            .map(|(i, &l)| outcome_with_latency(i, l))
-            .collect();
-        assert_eq!(latency_percentile_s(&finite, 0.95), 6.0);
-        assert_eq!(latency_percentile_s(&finite, 0.34), 5.0);
+        let report = report_of(&[5.0, 4.0, 6.0]);
+        assert_eq!(report.p95_latency_s, 6.0);
+        assert_eq!(report.max_latency_s, 6.0);
+        assert_eq!(report.mean_latency_s, 5.0);
+        assert_eq!(nearest_rank(&[4.0, 5.0, 6.0], 0.34), 5.0);
     }
 
     /// The whole empty-run report contract in one place: every latency

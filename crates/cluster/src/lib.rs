@@ -65,12 +65,15 @@
 //! * [`queue::ClusterTask`] / [`queue::TaskOutcome`] — the arrival
 //!   queue over the `sprint-workloads` suite (open arrivals included;
 //!   `ClusterReport` carries mean/p95/max latency for them).
+//! * [`cluster::RackSpec`] — a rack described once, as plain data
+//!   (`Clone`, `Debug`, `Send`, `Sync`): its grid, nodes, policies, pool, task
+//!   queue and fault plan. Its setters make it the cluster builder
+//!   ([`cluster::ClusterBuilder`] is the same type), `build` borrows it,
+//!   and a facility stamps each of its racks from one template spec.
 //! * [`cluster::ClusterSession`] — the lockstep stepper: one
 //!   `SprintSession` per node, one shared rack, one shared feed, one
 //!   scheduler pass per sampling window. A one-node cluster reproduces
-//!   a standalone session byte-for-byte — on an uncapped supply *and*
-//!   on a rechargeable per-node `HybridSupply` (idle windows recharge
-//!   through the lockstep rest path).
+//!   a standalone session byte-for-byte.
 //!
 //! # Two steppers, one semantics
 //!
@@ -112,7 +115,7 @@
 //! `sprint-core`'s fault ports (`FaultSensor` / `FaultSupply`) —
 //! bit-identical passthroughs until a window-stamped
 //! `sprint_core::fault::FaultPlan` (installed via
-//! [`cluster::ClusterBuilder::fault_plan`]) flips them. The scheduler
+//! [`cluster::RackSpec::fault_plan`]) flips them. The scheduler
 //! reads each node's temperature through that node's `FaultSensor`, so
 //! what a stuck, biased or dropped-out sensor reports is defined there
 //! alone, and oblivious scheduling believes it. The scheduler
@@ -192,8 +195,8 @@ pub mod rack;
 pub mod supply;
 
 pub use cluster::{
-    check_fault_plan, check_tasks, ClusterBuildError, ClusterBuilder, ClusterEvent, ClusterOutcome,
-    ClusterReport, ClusterSession, NodeSpec, Placement,
+    check_fault_plan, check_tasks, nearest_rank, ClusterBuildError, ClusterBuilder, ClusterEvent,
+    ClusterOutcome, ClusterReport, ClusterSession, NodeSpec, Placement, RackSpec,
 };
 pub use event::EventDrivenCluster;
 pub use policy::{ClusterPolicy, PowerPolicy};
@@ -205,7 +208,7 @@ pub use supply::{NodeSupplyView, RackSupply, RackSupplyParams};
 pub mod prelude {
     pub use crate::cluster::{
         ClusterBuildError, ClusterBuilder, ClusterEvent, ClusterOutcome, ClusterReport,
-        ClusterSession, NodeSpec, Placement,
+        ClusterSession, NodeSpec, Placement, RackSpec,
     };
     pub use crate::event::EventDrivenCluster;
     pub use crate::policy::{ClusterPolicy, PowerPolicy};

@@ -460,7 +460,7 @@ impl RackSupplyParams {
     /// loss curve. The view's idle draw is the regulator's fixed
     /// overhead (`upstream_w(0)`), so an idle rack's baseline load
     /// stays visible to admission and settlement. This is what
-    /// `ClusterBuilder::rack_supply` installs per node.
+    /// `RackSpec::rack_supply` installs per node.
     pub fn node_supply(&self, pool: &RackSupply, node: usize) -> Regulator<NodeSupplyView> {
         let view = pool
             .node_view(node)

@@ -2,13 +2,10 @@
 //! byte-for-byte equivalence the refactor promises, and the policy
 //! comparisons the subsystem exists for.
 
-use sprint_archsim::config::MachineConfig;
-use sprint_archsim::machine::Machine;
 use sprint_cluster::prelude::*;
-use sprint_core::config::{ExecutionMode, SprintConfig};
+use sprint_core::config::SprintConfig;
 use sprint_core::controller::ControllerEvent;
-use sprint_core::session::{RunReport, ScenarioBuilder, SprintSession, StepOutcome};
-use sprint_powersource::hybrid::HybridSupply;
+use sprint_core::session::{RunReport, ScenarioBuilder, StepOutcome};
 use sprint_thermal::floorplan::Floorplan;
 use sprint_thermal::grid::GridThermalParams;
 use sprint_workloads::suite::{suite_loader, InputSize, WorkloadKind};
@@ -77,92 +74,6 @@ fn assert_reports_byte_equal(got: &RunReport, expected: &RunReport) {
         assert_eq!(g.active_cores, e.active_cores);
         assert_eq!(g.instructions, e.instructions);
     }
-}
-
-/// A 1-node cluster on an independent rechargeable supply (the phone
-/// hybrid) is still the same co-simulation as a standalone session —
-/// including the *idle* windows between two staggered tasks, where the
-/// cluster's lockstep rest path must recharge the supply exactly as a
-/// standalone session's `rest` does. This pins the supply port through
-/// the cluster (`Box<dyn PowerSupply>` erasure, per-window draws,
-/// idle-recharge wiring) byte for byte.
-#[test]
-fn one_node_cluster_on_a_hybrid_supply_matches_a_standalone_session() {
-    let params = || {
-        GridThermalParams::rack(1, 1)
-            .with_floorplan(Floorplan::full_die())
-            .time_scaled(2000.0)
-    };
-    let sprint_cfg = SprintConfig::hpca_parallel();
-    let window_s = sprint_cfg.sample_window_ps as f64 * 1e-12;
-    // Two tasks with an idle gap between them: the first ends well
-    // before the second arrives, so the node rests (and the hybrid
-    // recharges) for the windows in between.
-    let gap_arrival_s = 2e-3;
-    let task = |arrival_s| ClusterTask::new(WorkloadKind::Sobel, InputSize::A, 16, arrival_s);
-
-    // The standalone mirror replays the cluster scheduler's exact
-    // per-window protocol: sustained-armed build, then per task
-    // set_config + load + begin_burst, with one rest per idle window.
-    let mut sustained = sprint_cfg.clone();
-    sustained.mode = ExecutionMode::Sustained;
-    let mut standalone = SprintSession::new(
-        Machine::new(MachineConfig::hpca()),
-        params().build(),
-        HybridSupply::phone(),
-        sustained,
-        2048,
-    );
-    let mut windows: u64 = 0;
-    for spec in [task(0.0), task(gap_arrival_s)] {
-        while spec.arrival_s > windows as f64 * window_s {
-            standalone.rest(window_s);
-            windows += 1;
-        }
-        standalone.set_config(sprint_cfg.clone());
-        suite_loader(spec.kind, spec.size, spec.threads)(standalone.machine_mut());
-        standalone.begin_burst();
-        loop {
-            let outcome = standalone.step();
-            windows += 1;
-            if outcome != StepOutcome::Running {
-                assert_eq!(outcome, StepOutcome::Finished);
-                break;
-            }
-        }
-    }
-    let expected = standalone.report();
-    let cap_after = standalone.supply().sprint_capacity_j();
-
-    let mut cluster = ClusterBuilder::new(params())
-        .policy(ClusterPolicy::AllSprint)
-        .config(sprint_cfg.clone())
-        .node_supply(|_| Box::new(HybridSupply::phone()))
-        .tasks([task(0.0), task(gap_arrival_s)])
-        .build();
-    assert_eq!(cluster.run_to_completion(), ClusterOutcome::Drained);
-    assert_reports_byte_equal(&cluster.node_report(0), &expected);
-
-    // The idle gap must actually have recharged the store: a no-rest
-    // replay of the same two bursts ends with a lower sprint capacity.
-    let mut no_rest = SprintSession::new(
-        Machine::new(MachineConfig::hpca()),
-        params().build(),
-        HybridSupply::phone(),
-        sprint_cfg.clone(),
-        2048,
-    );
-    for _ in 0..2 {
-        suite_loader(WorkloadKind::Sobel, InputSize::A, 16)(no_rest.machine_mut());
-        no_rest.begin_burst();
-        while no_rest.step() == StepOutcome::Running {}
-    }
-    assert!(
-        cap_after > no_rest.supply().sprint_capacity_j(),
-        "the lockstep idle path must recharge the hybrid: {} vs {}",
-        cap_after,
-        no_rest.supply().sprint_capacity_j()
-    );
 }
 
 /// The figure's claim at test scale: on a shared rack, greedy-headroom

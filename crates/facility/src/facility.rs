@@ -7,10 +7,10 @@ use std::{panic, thread};
 
 use serde::{Deserialize, Serialize};
 use sprint_archsim::config::MachineConfig;
+pub use sprint_cluster::RackSpec;
 use sprint_cluster::{
-    check_fault_plan, check_tasks, ClusterBuildError, ClusterBuilder, ClusterOutcome,
-    ClusterPolicy, ClusterReport, ClusterSession, ClusterTask, NodeSpec, Placement, PowerPolicy,
-    RackSupplyParams,
+    check_fault_plan, check_tasks, nearest_rank, ClusterBuildError, ClusterOutcome, ClusterPolicy,
+    ClusterReport, ClusterTask, NodeSpec, Placement, PowerPolicy, RackSupplyParams,
 };
 use sprint_core::config::SprintConfig;
 use sprint_core::fault::{FaultPlan, FaultRates, FaultResponse};
@@ -20,80 +20,6 @@ use sprint_workloads::traffic::TrafficParams;
 use crate::policy::FacilityPolicy;
 use crate::settlement::Settlement;
 use crate::shard::{RackInputs, Shard};
-
-/// Plain-data recipe for one rack — everything a worker thread needs to
-/// build the rack's (non-`Send`) [`ClusterSession`] locally.
-#[derive(Debug, Clone)]
-pub struct RackSpec {
-    /// The rack's thermal grid parameters (one node per floorplan core).
-    pub thermal: GridThermalParams,
-    /// Per-node machine configuration (every node, unless
-    /// [`node_specs`](Self::node_specs) overrides per node).
-    pub machine: MachineConfig,
-    /// Per-node specs for a heterogeneous rack: machine config,
-    /// nameplate share weight, thermal-footprint weight. `None` — the
-    /// default — clones [`machine`](Self::machine) onto every node,
-    /// byte-identically to the pre-heterogeneity path.
-    pub node_specs: Option<Vec<NodeSpec>>,
-    /// Idle-node ranking for the admission pass (default
-    /// [`Placement::PolicyDefault`], the pre-refactor order).
-    pub placement: Placement,
-    /// Sprint configuration admitted tasks run under.
-    pub config: SprintConfig,
-    /// The rack's local thermal admission policy.
-    pub policy: ClusterPolicy,
-    /// The rack's local power admission policy.
-    pub power: PowerPolicy,
-    /// Shared rack power-delivery pool, if the rack runs on one. The
-    /// commissioned `cap_w` is the rack's PDU nameplate — the ceiling
-    /// no facility settlement will ever raise a live cap above.
-    pub supply: Option<RackSupplyParams>,
-    /// The rack's arrival queue.
-    pub tasks: Vec<ClusterTask>,
-    /// Seeded fault schedule injected into this rack, if any.
-    pub fault: Option<FaultPlan>,
-    /// Per-node retained trace samples (0 disables tracing).
-    pub trace_capacity: usize,
-    /// Hard wall on the rack's simulated time, seconds.
-    pub max_time_s: f64,
-}
-
-impl RackSpec {
-    /// Builds the rack's session — exactly the [`ClusterBuilder`] call
-    /// a standalone study would make, so a one-rack facility and a
-    /// hand-built cluster start from identical state.
-    ///
-    /// # Panics
-    ///
-    /// Panics where [`try_build`](Self::try_build) would err.
-    pub fn build(&self) -> ClusterSession {
-        self.try_build().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Builds the rack's session, reporting unsatisfiable provisioning
-    /// as a typed error instead of panicking.
-    pub fn try_build(&self) -> Result<ClusterSession, ClusterBuildError> {
-        let mut builder = ClusterBuilder::new(self.thermal.clone())
-            .machine(self.machine.clone())
-            .config(self.config.clone())
-            .policy(self.policy.clone())
-            .power_policy(self.power)
-            .placement(self.placement)
-            .tasks(self.tasks.iter().copied())
-            .trace_capacity(self.trace_capacity)
-            .max_time_s(self.max_time_s);
-        if let Some(specs) = &self.node_specs {
-            builder = builder.node_specs(specs.iter().cloned());
-        }
-        if let Some(supply) = self.supply {
-            builder = builder.rack_supply(supply);
-        }
-        if let Some(fault) = &self.fault {
-            builder = builder.fault_plan(fault.clone());
-        }
-        builder.try_build()
-    }
-}
 
 /// Row-level shared-airflow coupling: racks in a row share one CRAC
 /// unit; heat the CRAC cannot extract recirculates and lifts every
@@ -248,18 +174,6 @@ impl FacilityReport {
     }
 }
 
-/// Nearest-rank percentile over pre-collected latencies (`q` in
-/// `(0, 1]`; NaN when empty) — the same contract as the cluster
-/// report's, applied to the union of every rack's outcomes.
-fn percentile_s(sorted_latencies: &[f64], q: f64) -> f64 {
-    if sorted_latencies.is_empty() {
-        return f64::NAN;
-    }
-    let rank =
-        ((q * sorted_latencies.len() as f64).ceil() as usize).clamp(1, sorted_latencies.len());
-    sorted_latencies[rank - 1]
-}
-
 /// A facility configuration [`FacilityBuilder::try_build`] rejects.
 /// [`FacilityBuilder::build`] panics with the identical [`Display`]
 /// message, so callers migrating from the panicking path keep their
@@ -294,7 +208,7 @@ pub enum FacilityBuildError {
     Row(&'static str),
     /// Traffic routing with fewer tasks than racks.
     SparseTraffic,
-    /// A rack spec or fault plan any [`ClusterBuilder`] check rejects.
+    /// A rack spec or fault plan any [`RackSpec`] check rejects.
     Rack(ClusterBuildError),
 }
 
@@ -342,24 +256,19 @@ impl From<ClusterBuildError> for FacilityBuildError {
     }
 }
 
-/// Composes rack specs, row coupling and the facility feed into a
-/// [`Facility`]. Defaults mirror [`ClusterBuilder`]'s: the paper's
-/// 16-core machine per node, `hpca_parallel` sprints, greedy-headroom
-/// thermal admission, power-oblivious local admission, no tracing; every
+/// Composes racks, row coupling and the facility feed into a
+/// [`Facility`]. Every rack knob lives on one [`RackSpec`] template,
+/// which the rack setters here write: `rack_thermal` sets its
+/// `thermal`, and the rest call the [`RackSpec`] setter of the same
+/// name. Rack *r*'s spec ([`Facility::spec`]) is the template with rack
+/// *r*'s own tasks and fault plan. The template starts from
+/// [`RackSpec::new`]'s defaults on a 4x4 rack, with tracing off. Every
 /// rack steps on the event-driven core.
 #[derive(Debug)]
 pub struct FacilityBuilder {
     racks: usize,
-    thermal: GridThermalParams,
-    machine: MachineConfig,
-    node_specs: Option<Vec<NodeSpec>>,
-    placement: Placement,
-    config: SprintConfig,
-    policy: ClusterPolicy,
-    power: PowerPolicy,
-    supply: Option<RackSupplyParams>,
-    trace_capacity: usize,
-    max_time_s: f64,
+    /// Every rack's knobs but its tasks and fault plan.
+    template: RackSpec,
     row: Option<RowParams>,
     facility_policy: FacilityPolicy,
     facility_cap_w: Option<f64>,
@@ -385,16 +294,7 @@ impl FacilityBuilder {
         assert!(racks >= 1, "a facility needs at least one rack");
         Self {
             racks,
-            thermal: GridThermalParams::rack(4, 4),
-            machine: MachineConfig::hpca(),
-            node_specs: None,
-            placement: Placement::PolicyDefault,
-            config: SprintConfig::hpca_parallel(),
-            policy: ClusterPolicy::greedy_default(),
-            power: PowerPolicy::Oblivious,
-            supply: None,
-            trace_capacity: 0,
-            max_time_s: 10.0,
+            template: RackSpec::new(GridThermalParams::rack(4, 4)).trace_capacity(0),
             row: None,
             facility_policy: FacilityPolicy::PerRack,
             facility_cap_w: None,
@@ -413,11 +313,12 @@ impl FacilityBuilder {
     /// Selects each rack's stepping core (default on: the event-driven
     /// core, where idle nodes cost nothing while nothing reads their
     /// state). `false` selects the lockstep
-    /// [`ClusterSession`] stepper, which steps every node every window:
-    /// the reference the equivalence tests and `repro facility --oracle`
-    /// compare the event core against. By the cluster crate's
-    /// golden-equivalence invariant the facility report digest is
-    /// byte-identical either way, so this is purely a wall-clock knob.
+    /// [`ClusterSession`](sprint_cluster::ClusterSession) stepper, which
+    /// steps every node every window: the reference the equivalence
+    /// tests and `repro facility --oracle` compare the event core
+    /// against. By the cluster crate's golden-equivalence invariant the
+    /// facility report digest is byte-identical either way, so this is
+    /// purely a wall-clock knob.
     pub fn event_driven(mut self, event_driven: bool) -> Self {
         self.event_driven = event_driven;
         self
@@ -425,13 +326,13 @@ impl FacilityBuilder {
 
     /// Sets every rack's thermal grid parameters.
     pub fn rack_thermal(mut self, params: GridThermalParams) -> Self {
-        self.thermal = params;
+        self.template.thermal = params;
         self
     }
 
     /// Sets every rack's per-node machine configuration.
     pub fn machine(mut self, config: MachineConfig) -> Self {
-        self.machine = config;
+        self.template = self.template.machine(config);
         self
     }
 
@@ -440,7 +341,7 @@ impl FacilityBuilder {
     /// weight), in node index order. A homogeneous spec list is
     /// byte-identical to the [`machine`](Self::machine) clone path.
     pub fn node_specs(mut self, specs: impl IntoIterator<Item = NodeSpec>) -> Self {
-        self.node_specs = Some(specs.into_iter().collect());
+        self.template = self.template.node_specs(specs);
         self
     }
 
@@ -449,7 +350,7 @@ impl FacilityBuilder {
     /// order; [`Placement::CheapestHeadroom`] is the cost-aware pass
     /// a heterogeneous fleet wants).
     pub fn placement(mut self, placement: Placement) -> Self {
-        self.placement = placement;
+        self.template = self.template.placement(placement);
         self
     }
 
@@ -467,19 +368,19 @@ impl FacilityBuilder {
 
     /// Sets the sprint configuration admitted tasks run under.
     pub fn config(mut self, config: SprintConfig) -> Self {
-        self.config = config;
+        self.template = self.template.config(config);
         self
     }
 
     /// Sets every rack's local thermal admission policy.
     pub fn policy(mut self, policy: ClusterPolicy) -> Self {
-        self.policy = policy;
+        self.template = self.template.policy(policy);
         self
     }
 
     /// Sets every rack's local power admission policy.
     pub fn power_policy(mut self, power: PowerPolicy) -> Self {
-        self.power = power;
+        self.template = self.template.power_policy(power);
         self
     }
 
@@ -488,19 +389,19 @@ impl FacilityBuilder {
     /// [`FacilityPolicy::GlobalRationed`] (the global tier moves the
     /// pool's live cap).
     pub fn rack_supply(mut self, params: RackSupplyParams) -> Self {
-        self.supply = Some(params);
+        self.template = self.template.rack_supply(params);
         self
     }
 
     /// Limits each node's retained trace (0, the default, disables it).
     pub fn trace_capacity(mut self, samples: usize) -> Self {
-        self.trace_capacity = samples;
+        self.template = self.template.trace_capacity(samples);
         self
     }
 
     /// Hard wall on each rack's simulated time, seconds.
     pub fn max_time_s(mut self, limit_s: f64) -> Self {
-        self.max_time_s = limit_s;
+        self.template = self.template.max_time_s(limit_s);
         self
     }
 
@@ -615,13 +516,15 @@ impl FacilityBuilder {
     /// point; traffic with fewer tasks than racks; a fault plan
     /// targeting nodes a rack does not have or with a supply collapse
     /// scale not above 1; a task on any rack with a bad arrival or no
-    /// threads; or a rack config any [`ClusterBuilder`] check rejects.
+    /// threads; a time limit that is not finite and positive; or a rack
+    /// config any [`RackSpec`] check rejects.
     pub fn try_build(self) -> Result<Facility, FacilityBuildError> {
         if self.epoch_windows < 1 {
             return Err(FacilityBuildError::ZeroEpochWindows);
         }
+        let template = &self.template;
         let nameplate: Vec<f64> = (0..self.racks)
-            .map(|_| self.supply.map_or(f64::INFINITY, |s| s.cap_w))
+            .map(|_| template.supply.map_or(f64::INFINITY, |s| s.cap_w))
             .collect();
         if let Some(cap) = self.facility_cap_w {
             if !(cap.is_finite() && cap > 0.0) {
@@ -644,7 +547,7 @@ impl FacilityBuilder {
             FacilityPolicy::PerRack => self.facility_cap_w.map(|cap| cap / self.racks as f64),
         };
         if let Some(min_share_w) = min_share_w {
-            if self.supply.is_none() {
+            if template.supply.is_none() {
                 return Err(FacilityBuildError::CapWithoutRackSupply);
             }
             // A rack parked at the minimum share with power-rationed
@@ -652,9 +555,9 @@ impl FacilityBuilder {
             // cannot carry one; with an infinite defer window its queue
             // would head-of-line block until the time limit. Demand a
             // finite defer so starved racks degrade to sustained runs.
-            if let PowerPolicy::Rationed { sprint_draw_w, .. } = self.power {
+            if let PowerPolicy::Rationed { sprint_draw_w, .. } = template.power {
                 if min_share_w < sprint_draw_w
-                    && self.policy.defer_window_s() == Some(f64::INFINITY)
+                    && template.policy.defer_window_s() == Some(f64::INFINITY)
                 {
                     return Err(FacilityBuildError::StarvedRackInfiniteDefer {
                         min_share_w,
@@ -681,17 +584,17 @@ impl FacilityBuilder {
                 if row.max_inlet_c.is_nan() {
                     return Err(FacilityBuildError::Row("max_inlet_c must be a number"));
                 }
-                if row.max_inlet_c < self.thermal.ambient_c {
+                if row.max_inlet_c < template.thermal.ambient_c {
                     return Err(FacilityBuildError::Row(
                         "the inlet ceiling sits below the commissioned ambient",
                     ));
                 }
-                if row.max_inlet_c >= self.thermal.t_max_c {
+                if row.max_inlet_c >= template.thermal.t_max_c {
                     return Err(FacilityBuildError::Row(
                         "the inlet ceiling must stay below the racks' thermal limit",
                     ));
                 }
-                for layer in &self.thermal.layers {
+                for layer in &template.thermal.layers {
                     if let Some(pc) = &layer.phase_change {
                         if row.max_inlet_c >= pc.melt_temp_c {
                             return Err(FacilityBuildError::Row(
@@ -705,10 +608,11 @@ impl FacilityBuilder {
         // Derive per-rack fault plans: an explicit plan wins, otherwise
         // the seeded rates (each rack on its own stream, mixed exactly
         // as rack traffic seeds are) over a horizon covering the rack's
-        // whole time limit.
-        let nodes = self.thermal.floorplan.core_count();
-        let window_s = self.config.sample_window_ps as f64 * 1e-12;
-        let horizon_windows = (self.max_time_s / window_s).ceil() as u64;
+        // whole time limit. A seeded plan ends only at its horizon, so
+        // the window and the limit are checked before any plan is drawn.
+        let nodes = template.thermal.floorplan.core_count();
+        template.config.validate();
+        let horizon_windows = template.max_windows()?;
         let mut faults = Vec::with_capacity(self.racks);
         for rack in 0..self.racks {
             let plan = match (&self.rack_faults[rack], self.fault_rates) {
@@ -749,22 +653,13 @@ impl FacilityBuilder {
             };
             check_tasks(&tasks)?;
             specs.push(RackSpec {
-                thermal: self.thermal.clone(),
-                machine: self.machine.clone(),
-                node_specs: self.node_specs.clone(),
-                placement: self.placement,
-                config: self.config.clone(),
-                policy: self.policy.clone(),
-                power: self.power,
-                supply: self.supply,
                 tasks,
                 fault,
-                trace_capacity: self.trace_capacity,
-                max_time_s: self.max_time_s,
+                ..template.clone()
             });
         }
-        // Fail fast on rack configs ClusterBuilder would reject — at
-        // build time on the caller's thread, not inside a worker.
+        // Fail fast on rack configs `RackSpec` would reject — at build
+        // time on the caller's thread, not inside a worker.
         drop(specs[0].try_build()?);
         Ok(Facility {
             specs,
@@ -819,7 +714,8 @@ impl Facility {
         self.specs.iter().map(|s| s.tasks.len()).sum()
     }
 
-    /// One rack's spec (e.g. to build a standalone comparator session).
+    /// One rack's spec: the builder's template with this rack's tasks
+    /// and fault plan (e.g. to build a standalone comparator session).
     ///
     /// # Panics
     ///
@@ -951,8 +847,8 @@ impl Facility {
             completed,
             total_tasks: rack_reports.iter().map(|r| r.total_tasks).sum::<usize>() - migrated,
             mean_latency_s,
-            p95_latency_s: percentile_s(&latencies, 0.95),
-            p99_latency_s: percentile_s(&latencies, 0.99),
+            p95_latency_s: nearest_rank(&latencies, 0.95),
+            p99_latency_s: nearest_rank(&latencies, 0.99),
             max_latency_s: latencies.last().copied().unwrap_or(f64::NAN),
             makespan_s: rack_reports
                 .iter()
@@ -1012,8 +908,8 @@ mod tests {
             completed: outcomes.len(),
             total_tasks: outcomes.len(),
             mean_latency_s: sorted.iter().sum::<f64>() / sorted.len().max(1) as f64,
-            p95_latency_s: percentile_s(&sorted, 0.95),
-            p99_latency_s: percentile_s(&sorted, 0.99),
+            p95_latency_s: nearest_rank(&sorted, 0.95),
+            p99_latency_s: nearest_rank(&sorted, 0.99),
             max_latency_s: sorted.last().copied().unwrap_or(f64::NAN),
             peak_junction_c: 25.0,
             admitted_sprints: 0,
@@ -1101,6 +997,84 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Every rack's spec is the builder's template with the rack's own
+    /// tasks and fault plan, and each facility rack setter sets what
+    /// the `RackSpec` setter of the same name sets.
+    #[test]
+    fn each_rack_spec_is_the_template_with_its_own_tasks_and_faults() {
+        use sprint_core::fault::FaultRates;
+        use sprint_workloads::suite::{InputSize, WorkloadKind};
+
+        let thermal = GridThermalParams::rack(2, 1).time_scaled(3000.0);
+        let little = MachineConfig::hpca().with_cores(8);
+        let specs = [
+            NodeSpec::standard(MachineConfig::hpca()).with_share_weight(1.5),
+            NodeSpec::standard(little.clone()).with_thermal_weight(0.8),
+        ];
+        let mut config = SprintConfig::hpca_parallel();
+        config.tdp_w = 8.0;
+        let policy = ClusterPolicy::RoundRobin { max_sprinting: 1 };
+        let power = PowerPolicy::Rationed {
+            sprint_draw_w: 12.0,
+            shed_reserve_fraction: 0.25,
+        };
+        let supply = RackSupplyParams::rack(2).time_scaled(3000.0);
+        let builder = FacilityBuilder::new(3)
+            .rack_thermal(thermal.clone())
+            .machine(little.clone())
+            .node_specs(specs.clone())
+            .placement(Placement::CheapestHeadroom)
+            .config(config.clone())
+            .policy(policy.clone())
+            .power_policy(power)
+            .rack_supply(supply)
+            .trace_capacity(7)
+            .max_time_s(0.5)
+            .tasks_on(
+                1,
+                ClusterTask::batch(WorkloadKind::Sobel, InputSize::A, 8, 2),
+            )
+            .fault_rates(FaultRates {
+                mean_sensor_gap_windows: 0,
+                sensor_hold_windows: 0,
+                mean_crash_gap_windows: 4000,
+                crash_hold_windows: 100,
+                mean_supply_gap_windows: 0,
+                supply_hold_windows: 0,
+            })
+            .fault_on(2, FaultPlan::none());
+        let expected = RackSpec::new(thermal)
+            .machine(little)
+            .node_specs(specs)
+            .placement(Placement::CheapestHeadroom)
+            .config(config)
+            .policy(policy)
+            .power_policy(power)
+            .rack_supply(supply)
+            .trace_capacity(7)
+            .max_time_s(0.5);
+        assert_eq!(format!("{:?}", builder.template), format!("{expected:?}"));
+
+        let facility = builder.build();
+        for rack in 0..3 {
+            let spec = facility.spec(rack);
+            let knobs = RackSpec {
+                tasks: Vec::new(),
+                fault: None,
+                ..spec.clone()
+            };
+            assert_eq!(format!("{knobs:?}"), format!("{expected:?}"), "rack {rack}");
+        }
+        let tasks: Vec<usize> = (0..3).map(|r| facility.spec(r).tasks.len()).collect();
+        assert_eq!(tasks, [0, 2, 0]);
+        assert!(facility
+            .spec(0)
+            .fault
+            .as_ref()
+            .is_some_and(|p| !p.events.is_empty()));
+        assert_eq!(facility.spec(2).fault, Some(FaultPlan::none()));
     }
 
     /// A facility whose racks completed nothing has NaN latency

@@ -70,10 +70,18 @@
 //! the payload from the worker's `join` instead of waiting on racks
 //! that will never report.
 //!
+//! # Where a rack knob lives
+//!
+//! Every rack knob lives on [`RackSpec`], the plain-data rack
+//! description `sprint-cluster` builds standalone clusters from.
+//! [`FacilityBuilder`]'s rack setters write one template spec, and each
+//! rack's spec is that template with the rack's own tasks and fault
+//! plan.
+//!
 //! # Heterogeneous racks
 //!
-//! Fleets need not be uniform. [`FacilityBuilder::node_specs`] (and
-//! the per-rack [`RackSpec::node_specs`] override) give every node its
+//! Fleets need not be uniform. [`FacilityBuilder::node_specs`] (the
+//! template's [`RackSpec::node_specs`]) gives every node its
 //! own [`NodeSpec`](sprint_cluster::NodeSpec) — machine config,
 //! nameplate share weight, thermal-footprint weight — and
 //! [`FacilityBuilder::placement`] selects the idle-node ranking

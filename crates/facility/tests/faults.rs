@@ -176,6 +176,39 @@ fn aware_and_oblivious_runs_differ_under_the_same_plans() {
     );
 }
 
+/// A seeded fault plan ends only at its horizon, the rack's time limit
+/// in windows: an infinite limit is rejected before any plan is drawn,
+/// since its plan would draw fault events until memory ran out.
+#[test]
+fn an_infinite_time_limit_is_rejected_before_any_fault_plan_is_drawn() {
+    let err = FacilityBuilder::new(2)
+        .max_time_s(f64::INFINITY)
+        .fault_rates(biting_rates())
+        .try_build()
+        .unwrap_err();
+    assert_eq!(
+        err,
+        FacilityBuildError::Rack(ClusterBuildError::NonPositiveTimeLimit)
+    );
+    assert_eq!(
+        err.to_string(),
+        "cluster time limit must be positive and finite"
+    );
+}
+
+/// A zero sampling window makes the same endless horizon, so the
+/// configuration is validated before any plan is drawn too.
+#[test]
+#[should_panic(expected = "sample window must be positive")]
+fn a_zero_window_is_rejected_before_any_fault_plan_is_drawn() {
+    let mut config = SprintConfig::hpca_parallel();
+    config.sample_window_ps = 0;
+    let _ = FacilityBuilder::new(2)
+        .config(config)
+        .fault_rates(biting_rates())
+        .try_build();
+}
+
 /// Unsatisfiable facility provisioning comes back as a typed error
 /// from `try_build`, with `build` panicking on the identical message.
 #[test]
